@@ -126,19 +126,21 @@ int main(int argc, char** argv) {
         .cell_sci(run.let)
         .cell(run.branches, 1)
         .cell(run.interactions, 1);
-    // Calibrate traversal work from the single-rank run: multi-rank
-    // counts include the receiver-side *linear* evaluation of imported
-    // LET entries (a conservative simplification of PEPC's hierarchical
-    // request-driven traversal; see DESIGN.md) which would bias the fit.
+    // Calibrate traversal work from the single-rank run: the multi-rank
+    // counts add the small decomposition overhead of the pruned remote
+    // trees (tree/parallel.hpp), which is not part of the model.
     if (p == 1) fit_interactions = run.interactions;
     fit_branches_at_max = run.branches;
     runs.push_back(run);
   }
   measured.print("Fig. 5 (measured) — simulated-machine runs, N = " +
                  std::to_string(n));
-  std::printf("note: multi-rank traversal above includes the linear LET "
-              "import-list evaluation near rank boundaries — PEPC resolves "
-              "imports hierarchically instead (DESIGN.md, substitutions)\n");
+  if (!runs.empty() && runs.front().interactions > 0.0)
+    std::printf("note: each rank walks the pruned remote trees it receives "
+                "per leaf group; interactions/particle at %d ranks = %.2fx "
+                "the 1-rank count\n",
+                runs.back().ranks,
+                runs.back().interactions / runs.front().interactions);
 
   // ---- calibrate + extrapolate -------------------------------------------
   perf::TreeScalingModel model;

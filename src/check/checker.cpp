@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <sstream>
 
 namespace stnb::check {
@@ -139,7 +141,6 @@ void Checker::on_deliver(const mpsim::CheckRecvEvent& event,
     recv.dest = dest;
     recv.source_sel = event.source_sel;
     recv.tag_sel = event.tag_sel;
-    recv.send_id = event.send_id;
     recv.recv_index = index;
     recv.vc_after = clock;
     wildcard_recvs_.push_back(std::move(recv));
@@ -340,11 +341,16 @@ std::string Checker::deadlock_report_locked() const {
 
 std::string Checker::race_report_locked() const {
   // A wildcard receive races when, under some other schedule, it could
-  // have matched a different send: any send to the same destination that
-  // fits the selectors, is on a different FIFO stream than the matched
-  // one, was not consumed before this receive, and is not causally after
-  // it. The report prints the full candidate set (matched send included),
-  // so it reads the same no matter which candidate won this run.
+  // have matched a different send: the head of another FIFO stream that
+  // fits the selectors. A stream's head is its oldest send that is not
+  // dropped, was not consumed before this receive, and is not causally
+  // after it. Only the first racing receive of each (comm, dest, source
+  // selector, tag selector) group is reported. What a later receive of
+  // the group could match depends on which send the first one took, so
+  // its candidates would change from schedule to schedule. The first one
+  // does not: every earlier receive of its group had a single candidate.
+  // Its report lists every stream head (matched send included), so it
+  // reads the same no matter which candidate won this run.
   std::vector<const WildcardRecv*> recvs;
   recvs.reserve(wildcard_recvs_.size());
   for (const WildcardRecv& r : wildcard_recvs_) recvs.push_back(&r);
@@ -353,42 +359,36 @@ std::string Checker::race_report_locked() const {
               return std::tie(a->dest, a->recv_index) <
                      std::tie(b->dest, b->recv_index);
             });
+  std::set<std::tuple<std::string, int, int, int>> reported;
   std::ostringstream out;
-  bool any = false;
   for (const WildcardRecv* recv : recvs) {
-    const SendRecord& matched = sends_[recv->send_id];
-    std::vector<const SendRecord*> candidates{&matched};
+    const auto group = std::make_tuple(recv->comm, recv->dest,
+                                       recv->source_sel, recv->tag_sel);
+    if (reported.count(group) > 0) continue;
+    std::map<std::pair<int, int>, const SendRecord*> heads;  // (source, tag)
     for (const SendRecord& s : sends_) {
-      if (&s == &matched) continue;
       if (s.comm != recv->comm || s.dest != recv->dest) continue;
       if (s.dropped) continue;
       if (recv->source_sel != kAnySource && s.source != recv->source_sel)
         continue;
       if (recv->tag_sel != kAnyTag && s.tag != recv->tag_sel) continue;
-      // Same stream as the matched send: FIFO order pins which one this
-      // receive sees; no schedule can swap them.
-      if (s.source == matched.source && s.tag == matched.tag) continue;
       // Consumed by an earlier receive in this schedule's program order.
       if (s.delivered && s.recv_index < recv->recv_index) continue;
       // Causally after this receive (e.g. sent in reply to it): could
       // not have been in flight yet.
       if (s.vc[recv->dest] >= recv->vc_after[recv->dest]) continue;
-      candidates.push_back(&s);
+      const auto [it, fresh] = heads.try_emplace({s.source, s.tag}, &s);
+      if (!fresh && s.seq < it->second->seq) it->second = &s;
     }
-    if (candidates.size() < 2) continue;
-    std::sort(candidates.begin(), candidates.end(),
-              [](const SendRecord* a, const SendRecord* b) {
-                return std::tie(a->source, a->tag, a->seq) <
-                       std::tie(b->source, b->tag, b->seq);
-              });
-    if (!any) out << "check: message race(s) detected\n";
-    any = true;
+    if (heads.size() < 2) continue;
+    if (reported.empty()) out << "check: message race(s) detected\n";
+    reported.insert(group);
     out << "wildcard recv #" << recv->recv_index << " at rank " << recv->dest
         << " on comm " << recv->comm << " (source="
         << selector(recv->source_sel, "any") << ", tag="
-        << selector(recv->tag_sel, "any") << "): " << candidates.size()
+        << selector(recv->tag_sel, "any") << "): " << heads.size()
         << " candidate sends:\n";
-    for (const SendRecord* c : candidates)
+    for (const auto& [stream, c] : heads)
       out << "  send " << c->comm << " " << c->source << "->" << c->dest
           << " tag " << c->tag << " seq " << c->seq << " (" << c->bytes
           << " bytes)\n";

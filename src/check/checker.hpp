@@ -82,7 +82,6 @@ class Checker final : public mpsim::CheckHook {
     int dest = 0;
     int source_sel = mpsim::kAnySource;
     int tag_sel = mpsim::kAnyTag;
-    std::uint64_t send_id = 0;      // the send it matched
     std::uint64_t recv_index = 0;   // dest's delivery counter at this recv
     std::vector<std::uint64_t> vc_after;  // receiver clock after the join
   };

@@ -1,6 +1,6 @@
-// Force/field evaluation through MAC traversal of an Octree. These are
-// the serial building blocks; the distributed solver (tree/parallel.hpp)
-// combines them with imported locally-essential data.
+// Force/field evaluation through MAC traversal of an Octree, one target
+// at a time: the reference that the batched engine used by the serial and
+// distributed solvers (tree/interaction_list.hpp) is tested against.
 //
 // Each sample returns its own near/far interaction tallies. They are part
 // of the result (not an optional side channel) because they drive the

@@ -5,7 +5,9 @@
 // per-target s/d <= theta bound of the per-particle walk is preserved),
 // and the resulting interaction lists are evaluated in batched SoA inner
 // loops (kernels::{VortexBatch, CoulombBatch}) that carry no callback and
-// no branch — the compiler auto-vectorizes them.
+// no branch — the compiler auto-vectorizes them. A distributed caller
+// (tree/parallel) adds the locally essential tree received from other
+// ranks as a RemoteTree, walked per group with the same MAC.
 //
 // The per-particle walk (tree/evaluate.hpp sample_*) remains the reference
 // implementation; tests/test_blocked.cpp pins this engine against it:
@@ -15,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "kernels/algebraic.hpp"
@@ -56,6 +59,83 @@ struct InteractionList {
     near.clear();
     far.clear();
   }
+  /// Appends a source range, merged into the previous one when adjacent.
+  void add_near(std::int32_t first, std::int32_t count) {
+    if (!near.empty() && near.back().first + near.back().count == first) {
+      near.back().count += count;
+    } else {
+      near.push_back({first, count});
+    }
+  }
+};
+
+/// Source particles in the SoA layout the batched kernels read:
+/// positions, scalar and vector charges.
+struct SourceSoA {
+  std::vector<double> x, y, z, q, ax, ay, az;
+
+  std::size_t size() const { return x.size(); }
+  void append(std::span<const TreeParticle> ps);
+};
+
+/// The charge kind of a solve; a remote tree ships only that kind.
+enum class Charges : std::uint8_t { kScalar, kVector };
+
+/// Kind of a node of a pruned remote tree.
+enum class LetKind : std::uint8_t {
+  kInternal,  // multipole shipped; its children follow in pre-order
+  kFrontier,  // accepted against the receiver's whole box: multipole only
+  kLeaf,      // particles shipped, no multipole: always near field
+};
+
+/// One skeleton record of a pruned remote tree, in pre-order: no
+/// multipole, so the skeleton stays small. `ref` indexes the node's
+/// multipole (internal, frontier) or its first particle (leaf); `skip` is
+/// the index one past the node's subtree. A shipped leaf of more than one
+/// particle is an internal record over a leaf record, so a receiver group
+/// can still accept it whole.
+struct LetNode {
+  float box_size = 0.0f;
+  std::int32_t count = 0;
+  std::int32_t ref = 0;
+  std::int32_t skip = 0;
+  LetKind kind = LetKind::kLeaf;
+};
+
+/// One source rank's pruned tree as shipped, indices local to the source.
+/// Multipoles (center + moments) and particles (position + charge) are
+/// flat doubles of the solve's charge kind only.
+struct LetPayload {
+  std::vector<LetNode> nodes;
+  std::vector<double> mp;
+  std::vector<double> particles;
+
+  /// Appends a multipole, or a leaf's particles; returns the index of
+  /// the (first) entry appended.
+  std::int32_t add_multipole(const Multipole& m, Charges charges);
+  std::int32_t add_particles(std::span<const TreeParticle> ps,
+                             Charges charges);
+};
+
+/// The locally essential tree one rank receives (tree/parallel): every
+/// source's pruned tree, concatenated into one pre-order forest.
+/// Multipoles keep the shipped layout; `particles` fills only the charge
+/// kind's columns.
+struct RemoteTree {
+  Charges charges = Charges::kScalar;
+  std::vector<LetNode> nodes;
+  std::vector<double> moments;  // shipped multipoles, back to back
+  SourceSoA particles;
+
+  /// Expansion center of multipole `ref`.
+  Vec3 center(std::int32_t ref) const;
+  /// Writes the shipped members of multipole `ref` into `m`; the others
+  /// keep their values (zero in a fresh Multipole).
+  void load_multipole(std::int32_t ref, Multipole& m) const;
+  /// Concatenates `sources` in order (sized once, `ref`/`skip` rebased,
+  /// each payload freed once appended). Throws std::invalid_argument on a
+  /// malformed payload.
+  void assign(std::vector<LetPayload> sources, Charges kind);
 };
 
 /// Fills `out` with the group's interactions via one walk_box traversal
@@ -63,6 +143,15 @@ struct InteractionList {
 /// evaluator fuses collection with evaluation per group.
 void collect_interactions(const Octree& tree, const LeafGroup& group,
                           double theta, InteractionList& out);
+
+/// The remote counterpart: fills `out` (near ranges index
+/// remote.particles, far entries remote multipoles) by one stackless
+/// pre-order walk. Frontier records are far and leaf records near without
+/// a test; an internal record is far when mac_accepts it against the
+/// group's box, and is otherwise descended by stepping to the next record.
+void collect_remote_interactions(const RemoteTree& remote,
+                                 const LeafGroup& group, double theta,
+                                 InteractionList& out);
 
 /// Far-field handling of the vortex evaluation (mirrors the refresh logic
 /// of vortex::TreeRhs's cached far field).
@@ -90,35 +179,17 @@ struct CoulombField {
   std::uint64_t far = 0;
 };
 
-/// Snapshot of a half-finished evaluation: the *local* contributions
-/// (near-field source ranges + local far nodes) accumulated per sorted
-/// particle, with the import work still outstanding. Produced by
-/// BlockedEvaluator::begin_*, consumed by finish_*. The split exists so a
-/// distributed caller (tree/parallel) can evaluate the local tree while
-/// the LET import data is still in flight and apply the imports when they
-/// arrive; the composition finish(begin()) is bit-identical to the
-/// one-shot evaluate_* because the accumulators are stored and reloaded
-/// losslessly and the accumulation order is unchanged (local near, then
-/// import near; local far nodes, then import multipoles).
-struct VortexPartial {
+/// Snapshot of a half-finished evaluation (BlockedEvaluator::begin_* ->
+/// finish_*): the batch accumulators of the local contributions per
+/// sorted particle, stored and reloaded losslessly, so accumulation runs
+/// local near, then remote near; local far nodes, then remote multipoles.
+struct EvalPartial {
   FarFieldMode mode = FarFieldMode::kCombined;
-  std::vector<Vec3> near_u;    // near-field batch accumulators
-  std::vector<Mat3> near_grad;
-  std::vector<Vec3> far_u;     // far-field batch accumulators
-  std::vector<Mat3> far_grad;
+  std::vector<double> near_acc;  // near-field accumulators, n per block
+  std::vector<double> far_acc;   // far-field accumulators, n per block
   std::vector<std::int32_t> group_far;  // local far nodes per leaf group
   std::uint64_t near = 0;  // local particle-particle evaluations
   std::uint64_t far = 0;   // local particle-multipole evaluations
-};
-
-struct CoulombPartial {
-  std::vector<double> phi;
-  std::vector<Vec3> e;
-  std::vector<double> far_phi;
-  std::vector<Vec3> far_e;
-  std::vector<std::int32_t> group_far;
-  std::uint64_t near = 0;
-  std::uint64_t far = 0;
 };
 
 /// Evaluates all tree particles as targets, one blocked traversal per leaf
@@ -142,63 +213,60 @@ class BlockedEvaluator {
   const std::vector<LeafGroup>& groups() const { return groups_; }
 
   /// Velocity + gradient for every tree particle (self-interactions
-  /// excluded by index). `import_mp` / `import_p` are remote LET data
-  /// applied to every target: multipoles join the far field, particles the
-  /// near field (entries whose id matches a local particle are excluded
-  /// for that target, like the per-particle path).
+  /// excluded by index).
   VortexField evaluate_vortex(const kernels::AlgebraicKernel& kernel,
-                              FarFieldMode mode = FarFieldMode::kCombined,
-                              std::span<const Multipole> import_mp = {},
-                              std::span<const TreeParticle> import_p = {}) const;
+                              FarFieldMode mode = FarFieldMode::kCombined) const;
 
   /// Coulomb potential + field for every tree particle.
-  CoulombField evaluate_coulomb(const kernels::CoulombKernel& kernel,
-                                std::span<const Multipole> import_mp = {},
-                                std::span<const TreeParticle> import_p = {}) const;
+  CoulombField evaluate_coulomb(const kernels::CoulombKernel& kernel) const;
 
-  /// Two-phase evaluation for communication overlap: begin_* runs the
-  /// interaction-list walks plus all *local* work (near source ranges,
-  /// local far nodes) and snapshots the accumulators; finish_* applies
-  /// the imports (no tree walk needed) and produces the final field.
-  /// `evaluate_*` is exactly `finish_*(kernel, begin_*(kernel), ...)`, and
-  /// the two-phase path is bit-identical to the one-shot path.
-  VortexPartial begin_vortex(const kernels::AlgebraicKernel& kernel,
-                             FarFieldMode mode = FarFieldMode::kCombined) const;
+  /// Two-phase evaluation, so a distributed caller (tree/parallel) can
+  /// evaluate the local tree while the LET is in flight: begin_* does all
+  /// local work; finish_* walks `remote` per leaf group and adds its
+  /// interactions. Remote ids never match a local one (the partition is
+  /// disjoint), so no remote pair is excluded. `evaluate_*` is
+  /// `finish_*(kernel, begin_*(kernel))` with no remote tree.
+  EvalPartial begin_vortex(const kernels::AlgebraicKernel& kernel,
+                           FarFieldMode mode = FarFieldMode::kCombined) const;
   VortexField finish_vortex(const kernels::AlgebraicKernel& kernel,
-                            VortexPartial partial,
-                            std::span<const Multipole> import_mp = {},
-                            std::span<const TreeParticle> import_p = {}) const;
-  CoulombPartial begin_coulomb(const kernels::CoulombKernel& kernel) const;
+                            const EvalPartial& partial,
+                            const RemoteTree& remote = {}) const;
+  EvalPartial begin_coulomb(const kernels::CoulombKernel& kernel) const;
   CoulombField finish_coulomb(const kernels::CoulombKernel& kernel,
-                              CoulombPartial partial,
-                              std::span<const Multipole> import_mp = {},
-                              std::span<const TreeParticle> import_p = {}) const;
+                              const EvalPartial& partial,
+                              const RemoteTree& remote = {}) const;
 
  private:
   // Per-work-item scratch. Pool-owned (not thread_local) so a leaf-group
   // work item that suspends under the fiber scheduler keeps its buffers
   // when it resumes on a different OS thread; the pools amortize the
   // allocations to the peak number of concurrent groups.
-  struct VortexWorkspace {
-    kernels::VortexBatch batch;
-    kernels::VortexBatch far_batch;
+  template <typename Batch>
+  struct Workspace {
+    Batch batch;
+    Batch far_batch;
     InteractionList il;
+    Multipole mp;  // remote multipole being evaluated
   };
-  struct CoulombWorkspace {
-    kernels::CoulombBatch batch;
-    kernels::CoulombBatch far_batch;
-    InteractionList il;
-  };
+  // One kernel-generic implementation behind begin_* / finish_*; `Ops`
+  // (interaction_list.cpp) supplies the batch type and the kernel calls.
+  template <typename Ops>
+  EvalPartial begin(const Ops& ops, FarFieldMode mode,
+                    WorkspacePool<Workspace<typename Ops::Batch>>& pool) const;
+  template <typename Ops, typename StoreFn>
+  std::pair<std::uint64_t, std::uint64_t> finish(
+      const Ops& ops, const EvalPartial& partial, const RemoteTree& remote,
+      WorkspacePool<Workspace<typename Ops::Batch>>& pool,
+      StoreFn&& store) const;
 
   const Octree& tree_;
   Config config_;
   std::vector<LeafGroup> groups_;
-  // SoA mirror of tree_.particles(): positions, scalar and vector charges.
-  std::vector<double> sx_, sy_, sz_, sq_, sax_, say_, saz_;
+  SourceSoA src_;  // SoA mirror of tree_.particles()
   // mutable: evaluate_* are logically const (results are returned, the
   // tree is untouched); the pools only recycle scratch buffers.
-  mutable WorkspacePool<VortexWorkspace> vortex_ws_;
-  mutable WorkspacePool<CoulombWorkspace> coulomb_ws_;
+  mutable WorkspacePool<Workspace<kernels::VortexBatch>> vortex_ws_;
+  mutable WorkspacePool<Workspace<kernels::CoulombBatch>> coulomb_ws_;
 };
 
 }  // namespace stnb::tree

@@ -37,6 +37,27 @@ struct Node {
   int level() const { return key_level(key); }
 };
 
+/// The multipole acceptance criterion every traversal shares (walk,
+/// walk_box, the LET cull in tree/parallel and the remote-tree walk in
+/// tree/interaction_list): a node of side `box_size` holding `count`
+/// particles, expanded about `center`, is accepted for every target in the
+/// axis-aligned box [lo, hi] when box_size <= theta * d, where d is the
+/// distance from `center` to the box's nearest point (a point target is
+/// the box lo = hi). Tested in squared form, without a sqrt. A
+/// single-particle node is never accepted: its particle is exact.
+inline bool mac_accepts(double box_size, std::int32_t count,
+                        const Vec3& center, const Vec3& lo, const Vec3& hi,
+                        double theta) {
+  if (count <= 1) return false;
+  double d2 = 0.0;
+  for (int k = 0; k < 3; ++k) {
+    const double v = center[k];
+    const double d = v < lo[k] ? lo[k] - v : (v > hi[k] ? v - hi[k] : 0.0);
+    d2 += d * d;
+  }
+  return box_size * box_size <= theta * theta * d2;
+}
+
 struct TreeStats {
   std::size_t node_count = 0;
   std::size_t leaf_count = 0;
@@ -68,40 +89,12 @@ class Octree {
   const Node& root() const { return nodes_.front(); }
   TreeStats stats() const;
 
-  /// MAC traversal for a target position. For every accepted cluster
-  /// calls `far(node)`; for every leaf that must be resolved calls
-  /// `near(particle)` per particle. theta = 0 disables acceptance
-  /// entirely (exact direct summation via the leaves).
-  template <typename FarFn, typename NearFn>
-  void walk(const Vec3& target, double theta, FarFn&& far,
-            NearFn&& near) const {
-    const double theta2 = theta * theta;
-    // Depth bound: 7 siblings pushed per level, kMaxLevel levels.
-    std::int32_t stack[7 * kMaxLevel + 8];
-    int top = 0;
-    stack[top++] = 0;
-    while (top > 0) {
-      const Node& node = nodes_[stack[--top]];
-      const double s = node.box_size;
-      const double d2 = norm2(target - node.mp.center);
-      if (s * s <= theta2 * d2 && node.count > 1) {
-        far(node);
-      } else if (node.leaf) {
-        for (std::int32_t p = node.first; p < node.first + node.count; ++p)
-          near(particles_[p]);
-      } else {
-        for (int c = 7; c >= 0; --c)
-          if (node.child[c] >= 0) stack[top++] = node.child[c];
-      }
-    }
-  }
-
   /// Cell-blocked MAC traversal for an axis-aligned target box [lo, hi]:
   /// one walk serves every target inside the box. The MAC distance is
   /// measured from the node's expansion center to the box's *nearest
   /// point*, which lower-bounds the distance to any individual target, so
   /// an accepted cluster satisfies s/d <= theta for every target in the
-  /// box — the per-target error bound of walk() is preserved. For every
+  /// box — the per-target error bound is preserved. For every
   /// accepted cluster calls `far(node)`; for every leaf that must be
   /// resolved calls `near_range(first, count)` with the leaf's particle
   /// slice (ascending, tiling exactly the particles a per-target walk
@@ -109,22 +102,13 @@ class Octree {
   template <typename FarFn, typename NearRangeFn>
   void walk_box(const Vec3& lo, const Vec3& hi, double theta, FarFn&& far,
                 NearRangeFn&& near_range) const {
-    const double theta2 = theta * theta;
     std::int32_t stack[7 * kMaxLevel + 8];
     int top = 0;
     stack[top++] = 0;
     while (top > 0) {
       const Node& node = nodes_[stack[--top]];
-      const double s = node.box_size;
-      const Vec3& center = node.mp.center;
-      double d2 = 0.0;
-      for (int k = 0; k < 3; ++k) {
-        const double v = center[k];
-        const double d =
-            v < lo[k] ? lo[k] - v : (v > hi[k] ? v - hi[k] : 0.0);
-        d2 += d * d;
-      }
-      if (s * s <= theta2 * d2 && node.count > 1) {
+      if (mac_accepts(node.box_size, node.count, node.mp.center, lo, hi,
+                      theta)) {
         far(node);
       } else if (node.leaf) {
         if (node.count > 0) near_range(node.first, node.count);
@@ -133,6 +117,19 @@ class Octree {
           if (node.child[c] >= 0) stack[top++] = node.child[c];
       }
     }
+  }
+
+  /// MAC traversal for a single target: walk_box over the point box
+  /// [target, target], calling `near(particle)` per resolved particle.
+  /// theta = 0 disables acceptance entirely (exact direct summation).
+  template <typename FarFn, typename NearFn>
+  void walk(const Vec3& target, double theta, FarFn&& far,
+            NearFn&& near) const {
+    walk_box(target, target, theta, far,
+             [&](std::int32_t first, std::int32_t count) {
+               for (std::int32_t p = first; p < first + count; ++p)
+                 near(particles_[p]);
+             });
   }
 
   /// Branch nodes: the minimal set of local-tree nodes whose key coverage

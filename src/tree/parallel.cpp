@@ -6,8 +6,6 @@
 #include <span>
 #include <unordered_map>
 
-#include "tree/interaction_list.hpp"
-
 namespace stnb::tree {
 
 namespace {
@@ -36,20 +34,40 @@ struct RankBox {
   Vec3 lo, hi;
 };
 
-// LET payload tags (one per payload kind; sources are distinguished by the
-// sender rank, so a fixed tag pair suffices).
+// LET payload tags (one per payload part; sources are distinguished by
+// the sender rank, so a fixed tag triple suffices).
+constexpr int kTagLetNode = 41002;
 constexpr int kTagLetMp = 41000;
 constexpr int kTagLetP = 41001;
 
-double min_distance_to_box(const Vec3& x, const RankBox& box) {
-  double d2 = 0.0;
-  for (int c = 0; c < 3; ++c) {
-    const double v = x[c];
-    const double lo = box.lo[c], hi = box.hi[c];
-    const double d = v < lo ? lo - v : (v > hi ? v - hi : 0.0);
-    d2 += d * d;
+/// Emits the subtree of `idx` in pre-order for a receiver whose particles
+/// lie in `box` (recursion depth <= kMaxLevel). A single-particle leaf
+/// ships no multipole: the MAC never accepts it.
+void emit_let(const Octree& tree, std::int32_t idx, const RankBox& box,
+              double theta, Charges charges, LetPayload& out) {
+  const Node& node = tree.nodes()[idx];
+  const auto self = static_cast<std::int32_t>(out.nodes.size());
+  const bool accepted = mac_accepts(node.box_size, node.count,
+                                    node.mp.center, box.lo, box.hi, theta);
+  if (accepted || !node.leaf || node.count > 1) {
+    out.nodes.push_back(
+        {node.box_size, node.count, out.add_multipole(node.mp, charges),
+         self + 1, accepted ? LetKind::kFrontier : LetKind::kInternal});
+    if (accepted) return;
   }
-  return std::sqrt(d2);
+  if (node.leaf) {
+    const auto at = static_cast<std::int32_t>(out.nodes.size());
+    out.nodes.push_back(
+        {node.box_size, node.count,
+         out.add_particles(
+             std::span(tree.particles()).subspan(node.first, node.count),
+             charges),
+         at + 1, LetKind::kLeaf});
+  } else {
+    for (const std::int32_t c : node.child)
+      if (c >= 0) emit_let(tree, c, box, theta, charges, out);
+  }
+  out.nodes[self].skip = static_cast<std::int32_t>(out.nodes.size());
 }
 
 template <typename T>
@@ -72,26 +90,43 @@ void unpack_into(const std::vector<std::byte>& bytes, std::vector<T>& out) {
   std::memcpy(out.data() + old, bytes.data(), n * sizeof(T));
 }
 
+/// Sends each sorted target's result `wire(i)` back to the rank it came
+/// from (`route`: particle id -> (original rank, original index)) and
+/// calls `store` on every result this rank receives.
+template <typename Route, typename WireFn, typename StoreFn>
+void route_back(mpsim::Comm& comm, const std::vector<TreeParticle>& targets,
+                const Route& route, WireFn&& wire, StoreFn&& store) {
+  using Wire = decltype(wire(std::size_t{0}));
+  std::vector<std::vector<Wire>> back(comm.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const auto [orig_rank, orig_index] = route.at(targets[i].id);
+    back[orig_rank].push_back(wire(i));
+    back[orig_rank].back().orig_index = orig_index;
+  }
+  std::vector<std::vector<std::byte>> payloads(comm.size());
+  for (int r = 0; r < comm.size(); ++r) payloads[r] = pack(back[r]);
+  for (const auto& payload : comm.alltoallv_bytes(payloads)) {
+    std::vector<Wire> wires;
+    unpack_into(payload, wires);
+    for (const Wire& w : wires) store(w);
+  }
+}
+
 }  // namespace
 
 struct ParallelTree::Exchanged {
   std::unique_ptr<Octree> tree;  // over this rank's partitioned particles
-  std::vector<Multipole> import_mp;      // accepted remote clusters
-  std::vector<TreeParticle> import_p;    // unresolved remote particles
-  // Routing: per partitioned particle (matching tree->particles() via the
-  // global id), where the result must be sent back to.
+  RemoteTree remote;             // filled by receive_let
+  // Routing: global id -> where the particle's result goes back to.
   // stnb-analyze: allow(det-unordered-iter) lookup-only: written by keyed
-  // insert (lines ~170/176), read via at() in deterministic targets[]
-  // order when routing results back; never iterated.
+  // insert in exchange(), read via at() in deterministic targets[] order
+  // by route_back; never iterated.
   std::unordered_map<std::uint32_t, std::pair<std::int32_t, std::int32_t>>
       route;
-  // Posted-but-unreceived LET state: expected element counts per source
-  // rank (from the counts allgather; zero-count sources post no message).
-  // The payloads themselves are in flight until receive_let drains them —
-  // the caller evaluates local work in between (near/far-communication
-  // overlap). let_span stays open from post to drain so traces show the
-  // traversal span overlapping it.
-  std::vector<std::size_t> let_mp_counts, let_p_counts;
+  // Ranks whose LET payloads are in flight until receive_let (every other
+  // rank holding particles); let_span stays open from post to drain.
+  std::vector<bool> let_from;
+  Charges charges = Charges::kScalar;
   obs::Span let_span;
 };
 
@@ -99,12 +134,14 @@ ParallelTree::ParallelTree(mpsim::Comm space_comm, ParallelConfig config)
     : comm_(space_comm), config_(config) {}
 
 ParallelTree::Exchanged ParallelTree::exchange(
-    const std::vector<TreeParticle>& local, SolveTimings& timings) {
+    const std::vector<TreeParticle>& local, Charges charges,
+    SolveTimings& timings) {
   const int p_ranks = comm_.size();
   const int rank = comm_.rank();
   const auto& cost = comm_.cost();
   const obs::Scope scope = comm_.obs_scope();
   Exchanged ex;
+  ex.charges = charges;
 
   // ---- phase 1+2: global domain + SFC repartition ------------------------
   obs::Span domain_span = scope.span("tree.domain");
@@ -141,7 +178,7 @@ ParallelTree::Exchanged ParallelTree::exchange(
   comm_.compute(n_local * std::log2(std::max(2.0, n_local)) *
                 cost.t_sort_per_particle);
 
-  std::vector<TreeParticle> partitioned;
+  std::vector<WireParticle> received;
   if (p_ranks > 1) {
     constexpr int kSamples = 32;
     std::vector<std::uint64_t> samples;
@@ -164,20 +201,16 @@ ParallelTree::Exchanged ParallelTree::exchange(
     }
     std::vector<std::vector<std::byte>> payloads(p_ranks);
     for (int r = 0; r < p_ranks; ++r) payloads[r] = pack(to_each[r]);
-    const auto incoming = comm_.alltoallv_bytes(payloads);
-    std::vector<WireParticle> received;
-    for (const auto& payload : incoming) unpack_into(payload, received);
-    partitioned.reserve(received.size());
-    for (const auto& wp : received) {
-      partitioned.push_back(wp.p);
-      ex.route[wp.p.id] = {wp.orig_rank, wp.orig_index};
-    }
+    for (const auto& payload : comm_.alltoallv_bytes(payloads))
+      unpack_into(payload, received);
   } else {
-    partitioned.reserve(mine.size());
-    for (const auto& wp : mine) {
-      partitioned.push_back(wp.p);
-      ex.route[wp.p.id] = {wp.orig_rank, wp.orig_index};
-    }
+    received = std::move(mine);
+  }
+  std::vector<TreeParticle> partitioned;
+  partitioned.reserve(received.size());
+  for (const auto& wp : received) {
+    partitioned.push_back(wp.p);
+    ex.route[wp.p.id] = {wp.orig_rank, wp.orig_index};
   }
   timings.local_particles = partitioned.size();
   timings.domain = comm_.clock().now() - t0;
@@ -214,14 +247,9 @@ ParallelTree::Exchanged ParallelTree::exchange(
     }
   }
   timings.branch_count = my_branches.size();
+  // Every rank learns the globally shared top; interaction data travels
+  // through the LET below.
   const auto all_branches = comm_.allgatherv(my_branches);
-  // Aggregate the globally shared top: here we fold all branches into the
-  // root expansion (used for diagnostics/validation; interaction data
-  // travels through the LET below).
-  Multipole global_root;
-  global_root.center = domain.center();
-  for (const auto& b : all_branches) global_root.add_shifted(b.mp);
-  (void)global_root;  // diagnostics hook; forces flow through the LET
   comm_.compute(static_cast<double>(all_branches.size()) * cost.t_tree_node);
   timings.branch_exchange = comm_.clock().now() - t2;
   branch_span.end();
@@ -234,65 +262,33 @@ ParallelTree::Exchanged ParallelTree::exchange(
   ex.let_span = scope.span("tree.let_exchange");
   obs::Span post_span = scope.span("tree.let_post");
   const double t3 = comm_.clock().now();
-  std::vector<RankBox> boxes(p_ranks);
-  {
-    RankBox mine_box{{1e300, 1e300, 1e300}, {-1e300, -1e300, -1e300}};
-    for (const auto& p : ex.tree->particles()) {
-      mine_box.lo = min(mine_box.lo, p.x);
-      mine_box.hi = max(mine_box.hi, p.x);
-    }
-    std::vector<RankBox> one = {mine_box};
-    const auto all = comm_.allgatherv(one);
-    boxes.assign(all.begin(), all.end());
+  RankBox mine_box{{1e300, 1e300, 1e300}, {-1e300, -1e300, -1e300}};
+  for (const auto& p : ex.tree->particles()) {
+    mine_box.lo = min(mine_box.lo, p.x);
+    mine_box.hi = max(mine_box.hi, p.x);
   }
+  const auto boxes = comm_.allgatherv(std::vector<RankBox>{mine_box});
 
   if (p_ranks > 1) {
-    std::vector<std::vector<Multipole>> mp_for(p_ranks);
-    std::vector<std::vector<TreeParticle>> p_for(p_ranks);
-    const auto& nodes = ex.tree->nodes();
+    // Build, post and free one receiver's pruned tree at a time. Empty
+    // ranks send nothing, and every rank knows which ranks are empty from
+    // the box allgather, so no counts exchange is needed.
     for (int r = 0; r < p_ranks; ++r) {
       if (r == rank || ex.tree->particles().empty()) continue;
-      std::vector<std::int32_t> stack = {0};
-      while (!stack.empty()) {
-        const Node& node = nodes[stack.back()];
-        stack.pop_back();
-        const double dmin = min_distance_to_box(node.mp.center, boxes[r]);
-        if (node.box_size <= config_.theta * dmin && node.count > 1) {
-          mp_for[r].push_back(node.mp);
-        } else if (node.leaf) {
-          for (std::int32_t i = node.first; i < node.first + node.count; ++i)
-            p_for[r].push_back(ex.tree->particles()[i]);
-        } else {
-          for (int c = 0; c < 8; ++c)
-            if (node.child[c] >= 0) stack.push_back(node.child[c]);
-        }
-      }
-      timings.let_sent += mp_for[r].size() + p_for[r].size();
+      LetPayload let;
+      emit_let(*ex.tree, 0, boxes[r], config_.theta, charges, let);
+      std::size_t entries = let.nodes.size();  // + shipped particles
+      for (const LetNode& node : let.nodes)
+        if (node.kind == LetKind::kLeaf) entries += node.count;
+      timings.let_sent += entries;
+      comm_.compute(static_cast<double>(entries) * cost.t_tree_node);
+      comm_.send(r, kTagLetNode, let.nodes);
+      comm_.send(r, kTagLetMp, let.mp);
+      comm_.send(r, kTagLetP, let.particles);
     }
-    comm_.compute(static_cast<double>(timings.let_sent) * cost.t_tree_node);
-
-    // Counts allgather: every rank learns which sources will post a
-    // payload (empty ones don't, so the drain loop must not wait on them).
-    std::vector<std::uint64_t> my_counts(2 * p_ranks, 0);
-    for (int r = 0; r < p_ranks; ++r) {
-      my_counts[2 * r] = mp_for[r].size();
-      my_counts[2 * r + 1] = p_for[r].size();
-    }
-    const auto all_counts = comm_.allgatherv(my_counts);
-    ex.let_mp_counts.assign(p_ranks, 0);
-    ex.let_p_counts.assign(p_ranks, 0);
-    for (int src = 0; src < p_ranks; ++src) {
-      ex.let_mp_counts[src] = all_counts[2 * p_ranks * src + 2 * rank];
-      ex.let_p_counts[src] = all_counts[2 * p_ranks * src + 2 * rank + 1];
-    }
-
-    // Post the non-empty payloads point-to-point and return without
-    // waiting; they ride the network while the caller computes.
-    for (int r = 0; r < p_ranks; ++r) {
-      if (r == rank) continue;
-      if (!mp_for[r].empty()) comm_.send(r, kTagLetMp, mp_for[r]);
-      if (!p_for[r].empty()) comm_.send(r, kTagLetP, p_for[r]);
-    }
+    ex.let_from.assign(p_ranks, false);
+    for (int src = 0; src < p_ranks; ++src)
+      ex.let_from[src] = src != rank && boxes[src].lo.x <= boxes[src].hi.x;
   }
   timings.let_exchange += comm_.clock().now() - t3;
   post_span.end();
@@ -304,94 +300,78 @@ void ParallelTree::receive_let(Exchanged& ex, SolveTimings& timings) {
   const obs::Scope scope = comm_.obs_scope();
   obs::Span wait_span = scope.span("tree.let_wait");
   const double t0 = comm_.clock().now();
-  // Drain ascending by source rank: deterministic import order, so the
-  // overlapped path accumulates imports in exactly the order the old
-  // alltoallv produced.
-  for (int src = 0; src < comm_.size(); ++src) {
-    if (src < static_cast<int>(ex.let_mp_counts.size()) &&
-        ex.let_mp_counts[src] > 0) {
-      const auto v = comm_.recv<Multipole>(src, kTagLetMp);
-      ex.import_mp.insert(ex.import_mp.end(), v.begin(), v.end());
-    }
-    if (src < static_cast<int>(ex.let_p_counts.size()) &&
-        ex.let_p_counts[src] > 0) {
-      const auto v = comm_.recv<TreeParticle>(src, kTagLetP);
-      ex.import_p.insert(ex.import_p.end(), v.begin(), v.end());
-    }
+  // Drain ascending by source rank: the remote tree's order, and with it
+  // every accumulation order, is independent of message arrival order.
+  std::vector<LetPayload> from;
+  for (int src = 0; src < static_cast<int>(ex.let_from.size()); ++src) {
+    if (!ex.let_from[src]) continue;
+    from.push_back({comm_.recv<LetNode>(src, kTagLetNode),
+                    comm_.recv<double>(src, kTagLetMp),
+                    comm_.recv<double>(src, kTagLetP)});
   }
+  ex.remote.assign(std::move(from), ex.charges);
   timings.let_exchange += comm_.clock().now() - t0;
   wait_span.end();
   ex.let_span.end();
+}
+
+template <typename BeginFn, typename FinishFn>
+auto ParallelTree::traverse(Exchanged& ex, SolveTimings& timings,
+                            BeginFn&& begin, FinishFn&& finish) {
+  // The traversal span opens while tree.let_exchange is still open: the
+  // local half overlaps the LET transfer in traces.
+  const auto& cost = comm_.cost();
+  const int threads = std::max(1, config_.model_threads);
+  const obs::Scope scope = comm_.obs_scope();
+  obs::Span traversal_span = scope.span("tree.traversal");
+  const double t4 = comm_.clock().now();
+  const BlockedEvaluator evaluator(
+      *ex.tree, {config_.theta, config_.group_size, config_.pool});
+  const EvalPartial partial = begin(evaluator);
+  const std::uint64_t local_near = partial.near, local_far = partial.far;
+  comm_.compute((local_near * cost.t_near_batched +
+                 local_far * cost.t_far_batched) /
+                threads);
+  timings.traversal += comm_.clock().now() - t4;
+
+  receive_let(ex, timings);
+  if (config_.inspect_let) config_.inspect_let(evaluator.groups(), ex.remote);
+
+  const double t6 = comm_.clock().now();
+  auto field = finish(evaluator, partial, ex.remote);
+  timings.near = field.near;
+  timings.far = field.far;
+  scope.add("tree.eval.near", timings.near);
+  scope.add("tree.eval.far", timings.far);
+  comm_.compute(((field.near - local_near) * cost.t_near_batched +
+                 (field.far - local_far) * cost.t_far_batched) /
+                threads);
+  timings.traversal += comm_.clock().now() - t6;
+  traversal_span.end();
+  return field;
 }
 
 VortexForces ParallelTree::solve_vortex(
     const std::vector<TreeParticle>& local,
     const kernels::AlgebraicKernel& kernel) {
   VortexForces out;
-  Exchanged ex = exchange(local, out.timings);
-  const auto& cost = comm_.cost();
-  const int p_ranks = comm_.size();
-
-  // ---- traversal, overlapped with the LET exchange -------------------------
-  // Cell-blocked engine: one MAC walk per Morton-contiguous leaf group
-  // (against the group's bounding box), batched SoA evaluation of the
-  // interaction lists. The local half (near source ranges + local far
-  // nodes) runs while the LET payloads posted by exchange() are still in
-  // flight; the imports are applied after the drain. The traversal span
-  // therefore overlaps the still-open tree.let_exchange span in traces.
-  const obs::Scope scope = comm_.obs_scope();
-  obs::Span traversal_span = scope.span("tree.traversal");
-  const double t4 = comm_.clock().now();
-  const auto& targets = ex.tree->particles();
-  const BlockedEvaluator evaluator(
-      *ex.tree, {config_.theta, config_.group_size, config_.pool});
-  VortexPartial partial =
-      evaluator.begin_vortex(kernel, FarFieldMode::kCombined);
-  comm_.compute((partial.near * cost.t_near_batched +
-                 partial.far * cost.t_far_batched) /
-                std::max(1, config_.model_threads));
-  const double t5 = comm_.clock().now();
-  out.timings.traversal += t5 - t4;
-
-  receive_let(ex, out.timings);
-
-  const double t6 = comm_.clock().now();
-  const std::uint64_t local_near = partial.near, local_far = partial.far;
-  const VortexField field =
-      evaluator.finish_vortex(kernel, std::move(partial),
-                              std::span(ex.import_mp), std::span(ex.import_p));
-  std::vector<VortexWire> results(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i)
-    results[i] = {static_cast<std::int32_t>(0), field.u[i], field.grad[i]};
-  out.timings.near = field.near;
-  out.timings.far = field.far;
-  scope.add("tree.eval.near", out.timings.near);
-  scope.add("tree.eval.far", out.timings.far);
-  comm_.compute(((field.near - local_near) * cost.t_near_batched +
-                 (field.far - local_far) * cost.t_far_batched) /
-                std::max(1, config_.model_threads));
-  out.timings.traversal += comm_.clock().now() - t6;
-  traversal_span.end();
-
-  // ---- route results back to the callers' layout ---------------------------
-  std::vector<std::vector<VortexWire>> back(p_ranks);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto [orig_rank, orig_index] = ex.route.at(targets[i].id);
-    results[i].orig_index = orig_index;
-    back[orig_rank].push_back(results[i]);
-  }
+  Exchanged ex = exchange(local, Charges::kVector, out.timings);
+  const VortexField field = traverse(
+      ex, out.timings,
+      [&](const BlockedEvaluator& e) { return e.begin_vortex(kernel); },
+      [&](const BlockedEvaluator& e, const EvalPartial& partial,
+          const RemoteTree& remote) {
+        return e.finish_vortex(kernel, partial, remote);
+      });
   out.u.assign(local.size(), Vec3{});
   out.grad.assign(local.size(), Mat3{});
-  std::vector<std::vector<std::byte>> payloads(p_ranks);
-  for (int r = 0; r < p_ranks; ++r) payloads[r] = pack(back[r]);
-  for (const auto& payload : comm_.alltoallv_bytes(payloads)) {
-    std::vector<VortexWire> wires;
-    unpack_into(payload, wires);
-    for (const auto& w : wires) {
-      out.u[w.orig_index] = w.u;
-      out.grad[w.orig_index] = w.grad;
-    }
-  }
+  route_back(
+      comm_, ex.tree->particles(), ex.route,
+      [&](std::size_t i) { return VortexWire{0, field.u[i], field.grad[i]}; },
+      [&](const VortexWire& w) {
+        out.u[w.orig_index] = w.u;
+        out.grad[w.orig_index] = w.grad;
+      });
   return out;
 }
 
@@ -399,62 +379,23 @@ CoulombForces ParallelTree::solve_coulomb(
     const std::vector<TreeParticle>& local,
     const kernels::CoulombKernel& kernel) {
   CoulombForces out;
-  Exchanged ex = exchange(local, out.timings);
-  const auto& cost = comm_.cost();
-  const int p_ranks = comm_.size();
-
-  // Same overlapped structure as solve_vortex: local half, drain, imports.
-  const obs::Scope scope = comm_.obs_scope();
-  obs::Span traversal_span = scope.span("tree.traversal");
-  const double t4 = comm_.clock().now();
-  const auto& targets = ex.tree->particles();
-  const BlockedEvaluator evaluator(
-      *ex.tree, {config_.theta, config_.group_size, config_.pool});
-  CoulombPartial partial = evaluator.begin_coulomb(kernel);
-  comm_.compute((partial.near * cost.t_near_batched +
-                 partial.far * cost.t_far_batched) /
-                std::max(1, config_.model_threads));
-  const double t5 = comm_.clock().now();
-  out.timings.traversal += t5 - t4;
-
-  receive_let(ex, out.timings);
-
-  const double t6 = comm_.clock().now();
-  const std::uint64_t local_near = partial.near, local_far = partial.far;
-  const CoulombField field =
-      evaluator.finish_coulomb(kernel, std::move(partial),
-                               std::span(ex.import_mp), std::span(ex.import_p));
-  std::vector<CoulombWire> results(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i)
-    results[i] = {0, field.phi[i], field.e[i]};
-  out.timings.near = field.near;
-  out.timings.far = field.far;
-  scope.add("tree.eval.near", out.timings.near);
-  scope.add("tree.eval.far", out.timings.far);
-  comm_.compute(((field.near - local_near) * cost.t_near_batched +
-                 (field.far - local_far) * cost.t_far_batched) /
-                std::max(1, config_.model_threads));
-  out.timings.traversal += comm_.clock().now() - t6;
-  traversal_span.end();
-
-  std::vector<std::vector<CoulombWire>> back(p_ranks);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto [orig_rank, orig_index] = ex.route.at(targets[i].id);
-    results[i].orig_index = orig_index;
-    back[orig_rank].push_back(results[i]);
-  }
+  Exchanged ex = exchange(local, Charges::kScalar, out.timings);
+  const CoulombField field = traverse(
+      ex, out.timings,
+      [&](const BlockedEvaluator& e) { return e.begin_coulomb(kernel); },
+      [&](const BlockedEvaluator& e, const EvalPartial& partial,
+          const RemoteTree& remote) {
+        return e.finish_coulomb(kernel, partial, remote);
+      });
   out.phi.assign(local.size(), 0.0);
   out.e.assign(local.size(), Vec3{});
-  std::vector<std::vector<std::byte>> payloads(p_ranks);
-  for (int r = 0; r < p_ranks; ++r) payloads[r] = pack(back[r]);
-  for (const auto& payload : comm_.alltoallv_bytes(payloads)) {
-    std::vector<CoulombWire> wires;
-    unpack_into(payload, wires);
-    for (const auto& w : wires) {
-      out.phi[w.orig_index] = w.phi;
-      out.e[w.orig_index] = w.e;
-    }
-  }
+  route_back(
+      comm_, ex.tree->particles(), ex.route,
+      [&](std::size_t i) { return CoulombWire{0, field.phi[i], field.e[i]}; },
+      [&](const CoulombWire& w) {
+        out.phi[w.orig_index] = w.phi;
+        out.e[w.orig_index] = w.e;
+      });
   return out;
 }
 

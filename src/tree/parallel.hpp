@@ -7,20 +7,24 @@
 //   4. *branch node exchange*: allgather of the coarsest local covers —
 //      the communication step whose growth with P saturates strong
 //      scaling in Fig. 5
-//   5. locally-essential-tree (LET) exchange: each rank walks its local
-//      tree against every remote rank's bounding box with the MAC and
-//      ships accepted multipoles / unresolved leaf particles (this
-//      replaces PEPC's asynchronous request-driven node fetching with a
-//      deterministic pre-exchange; see DESIGN.md substitutions). The
-//      payloads are *posted* point-to-point and drained later, so the
-//      transfer overlaps the local half of phase 6
+//   5. locally-essential-tree (LET) exchange: for every other rank, a
+//      pre-order walk of the local tree against that rank's bounding box
+//      with the MAC (mac_accepts) emits a *pruned tree*: skeleton records
+//      (tree/interaction_list.hpp LetNode) for internal nodes (multipole
+//      shipped, children follow), frontier nodes (accepted against the
+//      whole box: multipole shipped, no children) and leaves (particles
+//      shipped). This replaces PEPC's asynchronous request-driven node
+//      fetching with a deterministic pre-exchange (DESIGN.md
+//      substitutions). Each payload is posted point-to-point as soon as it
+//      is built and freed; it is drained later, so the transfer overlaps
+//      the local half of phase 6
 //   6. force evaluation, split for communication overlap: the local near
 //      and far field are evaluated while the LET payloads are in flight
-//      (BlockedEvaluator::begin_*), the payloads are then drained, and
-//      the imports applied on top (finish_*) — bit-identical to a
-//      synchronous exchange followed by a one-shot evaluation.
-//      Parallelized over the per-rank thread pool (PEPC's hybrid
-//      MPI/Pthreads layer)
+//      (BlockedEvaluator::begin_*); the payloads are then drained into one
+//      RemoteTree (ascending source rank) and walked per leaf group with
+//      the same MAC (finish_*), so each group evaluates only the remote
+//      nodes and particles it needs. Parallelized over the per-rank
+//      thread pool (PEPC's hybrid MPI/Pthreads layer)
 //   7. routing of results back to the callers' particle layout.
 //
 // Every phase advances the rank's virtual clock (communication through
@@ -29,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "kernels/algebraic.hpp"
@@ -36,6 +41,7 @@
 #include "mpsim/comm.hpp"
 #include "support/thread_pool.hpp"
 #include "tree/evaluate.hpp"
+#include "tree/interaction_list.hpp"
 #include "tree/octree.hpp"
 
 namespace stnb::tree {
@@ -51,6 +57,10 @@ struct ParallelConfig {
   /// Target particles per blocked-traversal leaf group (the thread-pool
   /// work item of the force phase; see tree/interaction_list.hpp).
   int group_size = 8;
+  /// Test hook: called on every rank after the LET drain with its leaf
+  /// groups and received remote tree.
+  std::function<void(const std::vector<LeafGroup>&, const RemoteTree&)>
+      inspect_let;
 };
 
 /// Per-phase modeled wall-clock (virtual seconds) — the Fig. 5 series.
@@ -68,7 +78,7 @@ struct SolveTimings {
   std::uint64_t far = 0;   // particle-multipole evaluations
   std::size_t local_particles = 0;  // after repartition
   std::size_t branch_count = 0;     // this rank's branches
-  std::size_t let_sent = 0;         // shipped LET entries (all remotes)
+  std::size_t let_sent = 0;  // shipped LET records + particles (all remotes)
 };
 
 struct VortexForces {
@@ -100,15 +110,20 @@ class ParallelTree {
  private:
   struct Exchanged;
   /// Phases 1-5 (LET sends posted, not yet received), shared by both
-  /// kernels. Returns the partitioned local tree plus routing info; the
-  /// imported interaction lists arrive via receive_let.
-  Exchanged exchange(const std::vector<TreeParticle>& local,
+  /// kernels; the LET carries only `charges`. Returns the partitioned
+  /// local tree plus routing info; the remote tree arrives via
+  /// receive_let.
+  Exchanged exchange(const std::vector<TreeParticle>& local, Charges charges,
                      SolveTimings& timings);
-  /// Drains the LET payloads posted by exchange() into ex.import_mp /
-  /// ex.import_p (ascending source rank, so the import order matches the
-  /// old synchronous exchange). Called after the local evaluation half so
-  /// the transfers overlap compute.
+  /// Drains the posted LET payloads into ex.remote in ascending source
+  /// rank, so the remote tree (and every result) is deterministic.
   void receive_let(Exchanged& ex, SolveTimings& timings);
+  /// Phase 6: `begin(evaluator)` evaluates the local tree while the LET
+  /// is in flight; after receive_let, `finish(evaluator, partial,
+  /// remote)` walks the remote tree and its field is returned.
+  template <typename BeginFn, typename FinishFn>
+  auto traverse(Exchanged& ex, SolveTimings& timings, BeginFn&& begin,
+                FinishFn&& finish);
 
   mpsim::Comm comm_;
   ParallelConfig config_;

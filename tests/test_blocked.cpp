@@ -1,11 +1,12 @@
 // Cell-blocked traversal engine (tree/interaction_list) pinned against the
 // per-particle reference walk (tree/evaluate): leaf-group invariants,
 // bit-identical results at theta = 0, error envelope at theta > 0, tally
-// consistency, thread-count determinism, and LET-import self-exclusion.
+// consistency, thread-count determinism, and the remote-tree walk.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <span>
+#include <stdexcept>
 
 #include "simd/dispatch.hpp"
 #include "support/rng.hpp"
@@ -264,26 +265,137 @@ TEST(BlockedDeterminism, ResultsIndependentOfThreadCount) {
   EXPECT_EQ(got.far, ref.far);
 }
 
-TEST(BlockedImports, MatchingIdsAreExcludedPerTarget) {
-  // Feed the evaluator a LET import that duplicates the local particles
-  // (every id collides). The per-particle semantics exclude an import only
-  // for the one target sharing its id, so the result must be exactly twice
-  // the local-only field — any mishandled exclusion breaks this.
-  const std::size_t n = 200;
-  const Octree tree = build_tree(n, 303);
+TEST(BlockedRemote, LeafRecordsAreNearAndFrontierRecordsAreFar) {
+  // A hand-built remote tree over a second cloud: one leaf record must add
+  // exactly its particles to every target (the direct sum over both
+  // clouds at theta = 0), one frontier record exactly its multipole.
+  const std::size_t n = 150;
+  const Octree tree = build_tree(n, 305);
+  auto sources = random_particles(60, 306);
+  for (auto& p : sources) p.x = p.x + Vec3{2.0, 0.0, 0.0};  // disjoint
+  const auto m = static_cast<std::int32_t>(sources.size());
+  const kernels::CoulombKernel kernel(0.01);
+  const BlockedEvaluator evaluator(tree, {0.0, 32, nullptr});
+
+  LetPayload leaf;
+  leaf.nodes.push_back(
+      {1.0f, m, leaf.add_particles(sources, Charges::kScalar), 1,
+       LetKind::kLeaf});
+  RemoteTree remote;
+  remote.assign({leaf}, Charges::kScalar);
+  const CoulombField near = evaluator.finish_coulomb(
+      kernel, evaluator.begin_coulomb(kernel), remote);
+  double phi_scale = 0.0;
+  for (std::size_t t = 0; t < n; ++t) {
+    const TreeParticle& target = tree.particles()[t];
+    double phi = 0.0;
+    Vec3 e{};
+    for (const TreeParticle& s : tree.particles())
+      if (s.id != target.id)
+        kernel.accumulate_field(target.x - s.x, s.q, phi, e);
+    for (const TreeParticle& s : sources)
+      kernel.accumulate_field(target.x - s.x, s.q, phi, e);
+    phi_scale = std::max(phi_scale, std::abs(phi));
+    EXPECT_NEAR(near.phi[t], phi, 1e-12 * std::max(1.0, std::abs(phi))) << t;
+  }
+  EXPECT_EQ(near.near, n * (n - 1) + n * sources.size());
+  EXPECT_EQ(near.far, 0u);
+
+  Multipole mp;
+  CenterAccumulator acc;
+  for (const auto& p : sources) acc.add(p.x, std::abs(p.q));
+  mp.center = acc.center({2.5, 0.5, 0.5});
+  for (const auto& p : sources) mp.add_particle(p.x, p.q, p.a);
+  LetPayload frontier;
+  frontier.nodes.push_back({1.0f, m, frontier.add_multipole(mp, Charges::kScalar),
+                            1, LetKind::kFrontier});
+  remote.assign({frontier}, Charges::kScalar);
+  const CoulombField far = evaluator.finish_coulomb(
+      kernel, evaluator.begin_coulomb(kernel), remote);
+  const CoulombField local = evaluator.evaluate_coulomb(kernel);
+  for (std::size_t t = 0; t < n; ++t) {
+    double phi = 0.0;
+    Vec3 e{};
+    mp.evaluate_coulomb(tree.particles()[t].x, phi, e);
+    EXPECT_NEAR(far.phi[t] - local.phi[t], phi, 1e-12 * phi_scale) << t;
+  }
+  EXPECT_EQ(far.far, n);
+  EXPECT_EQ(far.near, local.near);
+}
+
+TEST(BlockedRemote, VectorChargesRoundTripThroughThePayload) {
+  // The vortex path ships only vector charges and moments: a leaf and a
+  // frontier record must reproduce the local particles' and multipole's
+  // contributions bit for bit (same sources, same accumulation order).
+  const std::size_t n = 120;
+  const Octree tree = build_tree(n, 307);
+  auto sources = random_particles(40, 308);
+  for (auto& p : sources) p.x = p.x + Vec3{0.0, 3.0, 0.0};
+  const auto m = static_cast<std::int32_t>(sources.size());
+  Multipole mp;
+  mp.center = {0.5, 3.5, 0.5};
+  for (const auto& p : sources) mp.add_particle(p.x, p.q, p.a);
+  LetPayload let;
+  let.nodes.push_back({1.0f, m, let.add_multipole(mp, Charges::kVector), 1,
+                       LetKind::kFrontier});
+  let.nodes.push_back({1.0f, m, let.add_particles(sources, Charges::kVector),
+                       2, LetKind::kLeaf});
+  RemoteTree remote;
+  remote.assign({let}, Charges::kVector);
+  Multipole shipped;
+  remote.load_multipole(0, shipped);
+  EXPECT_EQ(shipped.center.y, mp.center.y);
+  EXPECT_EQ(shipped.mono_a.z, mp.mono_a.z);
+  EXPECT_EQ(shipped.dip_a.m, mp.dip_a.m);
+  EXPECT_EQ(shipped.quad_a, mp.quad_a);
+  EXPECT_EQ(shipped.mono_q, 0.0);  // scalar moments not shipped
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    EXPECT_EQ(remote.particles.x[k], sources[k].x.x);
+    EXPECT_EQ(remote.particles.az[k], sources[k].a.z);
+  }
+  EXPECT_TRUE(remote.particles.q.empty());  // scalar charges not shipped
+
   const kernels::AlgebraicKernel kernel(kernels::AlgebraicOrder::k6, 0.05);
   const BlockedEvaluator evaluator(tree, {0.0, 32, nullptr});
-  const VortexField base = evaluator.evaluate_vortex(kernel);
-  const VortexField doubled = evaluator.evaluate_vortex(
-      kernel, FarFieldMode::kCombined, {},
-      std::span<const TreeParticle>(tree.particles()));
-  double u_scale = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    u_scale = std::max(u_scale, norm(base.u[i]));
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_LT(norm(doubled.u[i] - 2.0 * base.u[i]), 1e-13 * u_scale) << i;
-  }
-  EXPECT_EQ(doubled.near, 2 * base.near);
+  const VortexField field = evaluator.finish_vortex(
+      kernel, evaluator.begin_vortex(kernel), remote);
+  EXPECT_EQ(field.far, n);
+  EXPECT_EQ(field.near, n * (n - 1) + n * sources.size());
+}
+
+TEST(BlockedRemote, MalformedPayloadIsRejected) {
+  // A record whose skip does not move forward, or whose reference does not
+  // resolve, would make the stackless walk loop or read out of bounds.
+  const auto kS = Charges::kScalar;
+  const std::vector<TreeParticle> ps(3);
+  LetPayload three;
+  three.add_particles(ps, kS);
+  LetPayload one_mp;
+  one_mp.add_multipole(Multipole{}, kS);
+  RemoteTree remote;
+  LetPayload bad = one_mp;
+  bad.nodes = {{1.0f, 3, 0, 0, LetKind::kInternal}};  // skip not forward
+  EXPECT_THROW(remote.assign({bad}, kS), std::invalid_argument);
+  bad = three;
+  bad.nodes = {{1.0f, 4, 0, 1, LetKind::kLeaf}};  // 4 of 3 particles
+  EXPECT_THROW(remote.assign({bad}, kS), std::invalid_argument);
+  bad = three;
+  bad.nodes = {{1.0f, -1, 0, 1, LetKind::kLeaf}};  // negative count
+  EXPECT_THROW(remote.assign({bad}, kS), std::invalid_argument);
+  bad = {};
+  bad.nodes = {{1.0f, 3, 0, 1, LetKind::kFrontier}};  // no multipole
+  EXPECT_THROW(remote.assign({bad}, kS), std::invalid_argument);
+  bad = three;
+  bad.particles.pop_back();  // not a whole number of particles
+  EXPECT_THROW(remote.assign({bad}, kS), std::invalid_argument);
+  // Two well-formed sources: the second is rebased onto the first.
+  LetPayload ok = three;
+  ok.nodes = {{1.0f, 3, 0, 1, LetKind::kLeaf}};
+  remote.assign({ok, ok}, kS);
+  ASSERT_EQ(remote.nodes.size(), 2u);
+  EXPECT_EQ(remote.nodes[1].ref, 3);
+  EXPECT_EQ(remote.nodes[1].skip, 2);
+  EXPECT_EQ(remote.particles.size(), 6u);
 }
 
 TEST(BlockedFarField, SeparateAndSkipModesComposeToCombined) {

@@ -1,11 +1,14 @@
 // Distributed tree solver: rank-count invariance (the parallel solve must
 // match the serial tree and, for theta -> 0, direct summation), LET
-// correctness near domain boundaries, phase timing sanity, and the
-// space-parallel RHS wrapper.
+// correctness near domain boundaries, the pruned remote tree's contract
+// (shipped frontier passes the MAC for every receiver group, interaction
+// counts stay near the 1-rank value, bit-identical across runs and
+// schedulers), phase timing sanity, and the space-parallel RHS wrapper.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <mutex>
 
 #include "obs/obs.hpp"
 
@@ -272,6 +275,171 @@ TEST(ParallelTree, CoulombSolveMatchesDirectSum) {
     for (std::size_t i = 0; i < local.size(); ++i)
       EXPECT_NEAR(forces.phi[i], phi_ref[begin + i], 1e-10);
   });
+}
+
+std::vector<TreeParticle> coulomb_cube(std::size_t n, std::uint64_t seed) {
+  std::vector<TreeParticle> all(n);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    all[i].x = rng.uniform_in_box({0, 0, 0}, {1, 1, 1});
+    all[i].q = (i % 2 == 0) ? 1.0 : -1.0;
+    all[i].id = static_cast<std::uint32_t>(i);
+  }
+  return all;
+}
+
+std::vector<TreeParticle> slice(const std::vector<TreeParticle>& all,
+                                const mpsim::Comm& comm) {
+  const std::size_t n = all.size();
+  const auto p = static_cast<std::size_t>(comm.size());
+  const auto r = static_cast<std::size_t>(comm.rank());
+  return {all.begin() + n * r / p, all.begin() + n * (r + 1) / p};
+}
+
+class ParallelCoulombExact : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelCoulombExact, ThetaZeroMatchesDirectSummation) {
+  // theta = 0: the remote walk must resolve every remote leaf to its
+  // particles, so the distributed solve is the direct sum up to rounding.
+  const int p_ranks = GetParam();
+  const std::size_t n = 600;
+  const auto all = coulomb_cube(n, 71);
+  const kernels::CoulombKernel kernel(0.01);
+  std::vector<double> phi_ref(n, 0.0);
+  std::vector<Vec3> e_ref(n);
+  double phi_scale = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j)
+      if (i != j)
+        kernel.accumulate_field(all[i].x - all[j].x, all[j].q, phi_ref[i],
+                                e_ref[i]);
+    phi_scale = std::max(phi_scale, std::abs(phi_ref[i]));
+  }
+  mpsim::Runtime rt;
+  rt.run(p_ranks, [&](mpsim::Comm& comm) {
+    const std::size_t begin = all.size() * comm.rank() / p_ranks;
+    ParallelConfig config;
+    config.theta = 0.0;
+    ParallelTree solver(comm, config);
+    const auto local = slice(all, comm);
+    const auto forces = solver.solve_coulomb(local, kernel);
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      EXPECT_LT(std::abs(forces.phi[i] - phi_ref[begin + i]),
+                1e-12 * phi_scale);
+      EXPECT_LT(norm(forces.e[i] - e_ref[begin + i]),
+                1e-12 * std::max(1.0, norm(e_ref[begin + i])));
+    }
+    EXPECT_EQ(forces.timings.far, 0u);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, ParallelCoulombExact, ::testing::Values(2, 4));
+
+TEST(ParallelTree, ShippedFrontierPassesTheMacForEveryReceiverGroup) {
+  // A frontier record is accepted by the receiver without a re-test. That
+  // is sound only if it passes mac_accepts against the box of every leaf
+  // group the receiver evaluates.
+  const auto all = coulomb_cube(3000, 72);
+  const kernels::CoulombKernel kernel(0.01);
+  const double theta = 0.6;
+  for (const int p_ranks : {2, 4}) {
+    std::mutex mu;
+    std::size_t frontier = 0;
+    mpsim::Runtime rt;
+    rt.run(p_ranks, [&](mpsim::Comm& comm) {
+      ParallelConfig config;
+      config.theta = theta;
+      config.inspect_let = [&](const std::vector<LeafGroup>& groups,
+                               const RemoteTree& remote) {
+        std::size_t mine = 0;
+        for (const LetNode& node : remote.nodes) {
+          if (node.kind != LetKind::kFrontier) continue;
+          ++mine;
+          for (const LeafGroup& g : groups)
+            ASSERT_TRUE(mac_accepts(node.box_size, node.count,
+                                    remote.center(node.ref), g.lo, g.hi,
+                                    theta))
+                << "rank " << comm.rank() << " P " << p_ranks;
+        }
+        const std::lock_guard<std::mutex> lock(mu);
+        frontier += mine;
+      };
+      ParallelTree solver(comm, config);
+      (void)solver.solve_coulomb(slice(all, comm), kernel);
+    });
+    EXPECT_GT(frontier, 0u) << "P " << p_ranks;
+  }
+}
+
+TEST(ParallelTree, CoulombInteractionsStayNearTheOneRankCount) {
+  // Walking the pruned remote tree per leaf group must keep the work per
+  // particle close to the serial tree's: at most 1.3x the 1-rank count.
+  const std::size_t n = 4000;
+  const auto all = coulomb_cube(n, 73);
+  const kernels::CoulombKernel kernel(1e-4);
+  auto per_particle = [&](int p_ranks) {
+    std::atomic<std::uint64_t> total{0};
+    mpsim::Runtime rt;
+    rt.run(p_ranks, [&](mpsim::Comm& comm) {
+      ParallelConfig config;
+      config.theta = 0.6;
+      ParallelTree solver(comm, config);
+      const auto t = solver.solve_coulomb(slice(all, comm), kernel).timings;
+      total.fetch_add(t.near + t.far);
+    });
+    return static_cast<double>(total.load()) / static_cast<double>(n);
+  };
+  const double one = per_particle(1);
+  for (const int p_ranks : {2, 4, 8}) {
+    const double got = per_particle(p_ranks);
+    EXPECT_LE(got, 1.3 * one) << "P " << p_ranks << ": " << got << " vs "
+                              << one << " on 1 rank";
+  }
+}
+
+TEST(ParallelTree, TwoPhaseSolveIsBitIdenticalAcrossRunsAndSchedulers) {
+  // The remote tree is concatenated in ascending source rank and walked
+  // in a fixed order, so forces must not change by a bit between runs or
+  // between thread-per-rank and fiber scheduling.
+  const auto all = coulomb_cube(1500, 74);
+  double sigma;
+  auto sheet = sheet_particles(800, &sigma);
+  const kernels::CoulombKernel ckernel(0.01);
+  const kernels::AlgebraicKernel vkernel(kernels::AlgebraicOrder::k6, sigma);
+  const int p_ranks = 4;
+  auto run_once = [&](mpsim::SchedMode mode) {
+    std::vector<double> flat(all.size() * 4 + sheet.size() * 3, 0.0);
+    mpsim::Runtime rt;
+    mpsim::SchedConfig sched;
+    sched.mode = mode;
+    sched.workers = 2;
+    rt.set_sched(sched);
+    rt.run(p_ranks, [&](mpsim::Comm& comm) {
+      ParallelConfig config;
+      config.theta = 0.5;
+      ParallelTree solver(comm, config);
+      const auto c = solver.solve_coulomb(slice(all, comm), ckernel);
+      const auto v = solver.solve_vortex(slice(sheet, comm), vkernel);
+      const std::size_t cb = all.size() * comm.rank() / p_ranks;
+      for (std::size_t i = 0; i < c.phi.size(); ++i) {
+        flat[4 * (cb + i)] = c.phi[i];
+        flat[4 * (cb + i) + 1] = c.e[i].x;
+        flat[4 * (cb + i) + 2] = c.e[i].y;
+        flat[4 * (cb + i) + 3] = c.e[i].z;
+      }
+      const std::size_t vb =
+          all.size() * 4 + 3 * (sheet.size() * comm.rank() / p_ranks);
+      for (std::size_t i = 0; i < v.u.size(); ++i) {
+        flat[vb + 3 * i] = v.u[i].x;
+        flat[vb + 3 * i + 1] = v.u[i].y;
+        flat[vb + 3 * i + 2] = v.u[i].z;
+      }
+    });
+    return flat;
+  };
+  const auto first = run_once(mpsim::SchedMode::kThreadPerRank);
+  EXPECT_EQ(run_once(mpsim::SchedMode::kThreadPerRank), first);
+  EXPECT_EQ(run_once(mpsim::SchedMode::kFiber), first);
 }
 
 TEST(ParallelTreeRhs, MatchesSerialTreeRhsAcrossDecompositions) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "ode/nodes.hpp"
 #include "ode/rk.hpp"
@@ -136,6 +137,10 @@ struct RkCase {
   ButcherTableau tableau;
   double expected_order;
 };
+
+// Print a case by name. gtest's default byte dump would include the address
+// of `name`, so the listed test names would change from run to run.
+void PrintTo(const RkCase& c, std::ostream* os) { *os << c.name; }
 
 class RkOrder : public ::testing::TestWithParam<RkCase> {};
 
