@@ -17,30 +17,46 @@ SdcSweeper::SdcSweeper(std::vector<double> nodes, std::size_t dof)
   }
   u_.assign(nodes_.size(), State(dof_, 0.0));
   f_.assign(nodes_.size(), State(dof_, 0.0));
+  stale_.assign(nodes_.size(), true);
 }
 
 void SdcSweeper::set_initial(const State& u0) {
   if (u0.size() != dof_) throw std::invalid_argument("bad u0 size");
   u_[0] = u0;
+  stale_[0] = true;
 }
 
-void SdcSweeper::spread(double t0, double dt, const RhsFn& rhs) {
+void SdcSweeper::set_values(const std::vector<State>& values) {
+  if (values.size() != u_.size())
+    throw std::invalid_argument("set_values needs one value per node");
+  for (const State& v : values)
+    if (v.size() != dof_) throw std::invalid_argument("bad node value size");
+  u_ = values;
+  stale_.assign(u_.size(), true);
+}
+
+void SdcSweeper::spread(double t0, const RhsFn& rhs) {
   rhs(t0, u_[0], f_[0]);
   ++rhs_evals_;
   for (std::size_t m = 1; m < u_.size(); ++m) {
     u_[m] = u_[0];
     f_[m] = f_[0];
   }
-  (void)dt;
+  stale_.assign(u_.size(), false);
 }
 
-void SdcSweeper::sweep(double t0, double dt, const RhsFn& rhs,
-                       bool refresh_left_f) {
-  const int m_nodes = num_nodes();
-  if (refresh_left_f) {
-    rhs(t0 + dt * nodes_[0], u_[0], f_[0]);
+void SdcSweeper::refresh(double t0, double dt, const RhsFn& rhs) {
+  for (int m = 0; m < num_nodes(); ++m) {
+    if (!stale_[m]) continue;
+    rhs(t0 + dt * nodes_[m], u_[m], f_[m]);
     ++rhs_evals_;
+    stale_[m] = false;
   }
+}
+
+void SdcSweeper::sweep(double t0, double dt, const RhsFn& rhs) {
+  const int m_nodes = num_nodes();
+  refresh(t0, dt, rhs);
   // Node-to-node spectral integrals of the previous iterate (incl. tau).
   const std::vector<State> integrals = integrate_node_to_node(dt, true);
 
@@ -63,11 +79,11 @@ void SdcSweeper::sweep(double t0, double dt, const RhsFn& rhs,
   }
 }
 
-void SdcSweeper::evaluate_all(double t0, double dt, const RhsFn& rhs) {
-  for (int m = 0; m < num_nodes(); ++m) {
-    rhs(t0 + dt * nodes_[m], u_[m], f_[m]);
-    ++rhs_evals_;
-  }
+void SdcSweeper::require_fresh() const {
+  for (bool stale : stale_)
+    if (stale)
+      throw std::logic_error(
+          "SdcSweeper: F read at a stale node (refresh or sweep first)");
 }
 
 void SdcSweeper::set_tau(std::vector<State> tau) {
@@ -77,6 +93,7 @@ void SdcSweeper::set_tau(std::vector<State> tau) {
 }
 
 double SdcSweeper::residual(double dt) const {
+  require_fresh();
   double worst = 0.0;
   State r(dof_);
   for (int m = 1; m < num_nodes(); ++m) {
@@ -90,6 +107,7 @@ double SdcSweeper::residual(double dt) const {
 
 std::vector<State> SdcSweeper::integrate_node_to_node(
     double dt, bool include_tau) const {
+  require_fresh();
   std::vector<State> integrals(num_nodes() - 1, State(dof_, 0.0));
   for (int m = 0; m + 1 < num_nodes(); ++m) {
     for (int j = 0; j < num_nodes(); ++j)
@@ -104,7 +122,7 @@ State sdc_integrate(SdcSweeper& sweeper, const RhsFn& rhs, State u0,
   for (int step = 0; step < nsteps; ++step) {
     const double t = t0 + step * dt;
     sweeper.set_initial(u0);
-    sweeper.spread(t, dt, rhs);
+    sweeper.spread(t, rhs);
     for (int k = 0; k < sweeps; ++k) sweeper.sweep(t, dt, rhs);
     u0 = sweeper.end_value();
   }

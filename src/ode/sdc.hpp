@@ -7,7 +7,10 @@
 //
 // The sweeper owns node values U and function values F for one step and is
 // reused by the serial SDC driver, parareal's fine/coarse propagators, and
-// the PFASST levels (which add FAS corrections via `set_tau`).
+// the PFASST levels (which add FAS corrections via `set_tau`). It keeps one
+// freshness bit per node: writing U marks F stale, and F is evaluated only
+// when a sweep or an integral reads it, so no caller computes an F that
+// nobody reads. Reading stale F throws instead of using old values.
 #pragma once
 
 #include <functional>
@@ -33,24 +36,28 @@ class SdcSweeper {
   const std::vector<double>& nodes() const { return nodes_; }
   std::size_t dof() const { return dof_; }
 
-  /// Sets U_0 (value at the left endpoint). Does not touch other nodes.
+  /// Sets U_0 (value at the left endpoint) and marks F_0 stale. Does not
+  /// touch other nodes.
   void set_initial(const State& u0);
 
-  /// Spreads U_0 to all nodes and evaluates F everywhere: the cheapest
-  /// provisional solution (iteration 0). Counts M+1 RHS evaluations.
-  void spread(double t0, double dt, const RhsFn& rhs);
+  /// Replaces all M+1 node values (after a restriction or interpolation)
+  /// and marks every F stale.
+  void set_values(const std::vector<State>& values);
 
-  /// One correction sweep (Eq. 13). Uses the stored (U, F) as iterate k
-  /// and replaces them with iterate k+1. Counts M RHS evaluations plus
-  /// one for the refreshed left node if `refresh_left_f` is set (needed
-  /// when U_0 changed since F_0 was computed, e.g. after a PFASST
-  /// receive).
-  void sweep(double t0, double dt, const RhsFn& rhs,
-             bool refresh_left_f = false);
+  /// Spreads U_0 to all nodes and copies F_0 = f(t0, U_0) to every node:
+  /// the cheapest provisional solution (iteration 0). Leaves every node
+  /// fresh. Counts 1 RHS evaluation.
+  void spread(double t0, const RhsFn& rhs);
 
-  /// Re-evaluates F at every node from the current U (Algorithm 1's
-  /// FEval after restriction/interpolation). Counts M+1 RHS evaluations.
-  void evaluate_all(double t0, double dt, const RhsFn& rhs);
+  /// Evaluates F at exactly the stale nodes, in node order, and leaves
+  /// every node fresh (Algorithm 1's FEval, done only where F will be
+  /// read). Counts 1 RHS evaluation per stale node.
+  void refresh(double t0, double dt, const RhsFn& rhs);
+
+  /// One correction sweep (Eq. 13): `refresh`, then uses the stored
+  /// (U, F) as iterate k and replaces them with iterate k+1. Counts M RHS
+  /// evaluations plus 1 per stale node.
+  void sweep(double t0, double dt, const RhsFn& rhs);
 
   /// FAS correction: tau[m] is the node-to-node integral correction added
   /// on the interval [t_m, t_{m+1}] during sweeps (empty = none). Sized
@@ -59,22 +66,21 @@ class SdcSweeper {
   const std::vector<State>& tau() const { return tau_; }
   void clear_tau() { tau_.clear(); }
 
-  /// Access to node values / function values (m in [0, M]).
-  State& u(int m) { return u_[m]; }
+  /// Node values (m in [0, M]).
   const State& u(int m) const { return u_[m]; }
-  State& f(int m) { return f_[m]; }
-  const State& f(int m) const { return f_[m]; }
+  const std::vector<State>& values() const { return u_; }
 
   const State& end_value() const { return u_.back(); }
 
   /// Collocation residual r_m = U_0 + dt * (Q F)_m - U_m for m = 1..M;
   /// returns max_m ||r_m||_inf. This is the convergence monitor used in
   /// Sec. IV-B (difference of successive iterates is reported separately
-  /// by the PFASST controller).
+  /// by the PFASST controller). Throws std::logic_error if any F is stale.
   double residual(double dt) const;
 
   /// Node-to-node integrals I_m = dt * sum_j s_{m,j} F_j of the *current*
   /// function values, including tau if present. Used by the FAS assembly.
+  /// Throws std::logic_error if any F is stale.
   std::vector<State> integrate_node_to_node(double dt,
                                             bool include_tau) const;
 
@@ -89,7 +95,10 @@ class SdcSweeper {
   std::vector<State> u_;    // M+1 node values
   std::vector<State> f_;    // M+1 function values
   std::vector<State> tau_;  // M node-to-node FAS corrections (or empty)
+  std::vector<bool> stale_;  // M+1 flags: F_m is not f(t_m, U_m)
   long rhs_evals_ = 0;
+
+  void require_fresh() const;
 };
 
 /// Serial SDC time integrator: `sweeps` corrections per step over nsteps

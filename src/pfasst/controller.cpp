@@ -71,9 +71,8 @@ Result Pfasst::run(const ode::State& u0, double t0, double dt, int nsteps) {
     if (config_.predict && levels_.size() > 1) {
       predictor(t_slice, dt);
     } else {
-      levels_.front().sweeper->spread(t_slice, dt,
-                                      levels_.front().config.rhs);
-      mirror_to_coarse(t_slice, dt);
+      levels_.front().sweeper->spread(t_slice, levels_.front().config.rhs);
+      mirror_to_coarse();
     }
 
     ode::State prev_end = levels_.front().sweeper->end_value();
@@ -81,9 +80,8 @@ Result Pfasst::run(const ode::State& u0, double t0, double dt, int nsteps) {
     block_stats.clear();
     const auto run_iteration = [&](int k) {
       if (fault_aware_) maybe_rebuild(t_slice, dt);
-      iteration(k, t_slice, dt);
       IterationStats it;
-      it.fine_residual = levels_.front().sweeper->residual(dt);
+      it.fine_residual = iteration(k, t_slice, dt);
       it.delta =
           ode::inf_distance(levels_.front().sweeper->end_value(), prev_end);
       prev_end = levels_.front().sweeper->end_value();
@@ -120,18 +118,14 @@ Result Pfasst::run(const ode::State& u0, double t0, double dt, int nsteps) {
   return result;
 }
 
-void Pfasst::mirror_to_coarse(double t_slice, double dt) {
-  // Mirror the fine state on the coarser levels.
+void Pfasst::mirror_to_coarse() {
+  // Mirror the fine state on the coarser levels. Their F stays stale until
+  // a sweep or the next restriction's FAS assembly reads it.
   for (std::size_t l = 0; l + 1 < levels_.size(); ++l) {
-    auto& fine = *levels_[l].sweeper;
     auto& coarse = *levels_[l + 1].sweeper;
-    std::vector<ode::State> fine_u(fine.num_nodes());
-    for (int m = 0; m < fine.num_nodes(); ++m) fine_u[m] = fine.u(m);
-    std::vector<ode::State> coarse_u(coarse.num_nodes(),
-                                     ode::State(dof_, 0.0));
-    transfer_[l].restrict_values(fine_u, coarse_u);
-    for (int m = 0; m < coarse.num_nodes(); ++m) coarse.u(m) = coarse_u[m];
-    coarse.evaluate_all(t_slice, dt, levels_[l + 1].config.rhs);
+    std::vector<ode::State> coarse_u(coarse.num_nodes());
+    transfer_[l].restrict_values(levels_[l].sweeper->values(), coarse_u);
+    coarse.set_values(coarse_u);
   }
 }
 
@@ -147,19 +141,15 @@ void Pfasst::predictor(double t_slice, double dt) {
   // receives the previous rank's stage end value as an improved initial
   // condition. Total pipeline latency equals one sweep per rank, but the
   // extra sweeps sharpen the provisional solution (Sec. III-B3).
-  sweeper.spread(t_slice, dt, coarse.config.rhs);
+  sweeper.spread(t_slice, coarse.config.rhs);
   for (int j = 0; j <= rank; ++j) {
-    bool refreshed = false;
     if (j > 0) {
-      if (const auto u_in = recv_initial(rank - 1, kTagPredictor + j)) {
+      if (const auto u_in = recv_initial(rank - 1, kTagPredictor + j))
         sweeper.set_initial(*u_in);
-        refreshed = true;
-      }
     }
     {
       obs::Span sweep_span = scope.span("pfasst.sweep.coarse");
-      sweeper.sweep(t_slice, dt, coarse.config.rhs,
-                    /*refresh_left_f=*/refreshed);
+      sweeper.sweep(t_slice, dt, coarse.config.rhs);
     }
     if (rank < pt - 1) {
       scope.add("pfasst.forward_sends");
@@ -167,20 +157,18 @@ void Pfasst::predictor(double t_slice, double dt) {
     }
   }
 
-  interpolate_to_fine(t_slice, dt);
+  interpolate_to_fine();
 }
 
-void Pfasst::interpolate_to_fine(double t_slice, double dt) {
-  // Interpolate the provisional coarse solution up the hierarchy.
+void Pfasst::interpolate_to_fine() {
+  // Interpolate the provisional coarse solution up the hierarchy. F stays
+  // stale until the level's next sweep reads it.
   for (int l = static_cast<int>(levels_.size()) - 2; l >= 0; --l) {
     auto& fine = *levels_[l].sweeper;
-    auto& src = *levels_[l + 1].sweeper;
-    std::vector<ode::State> coarse_u(src.num_nodes());
-    for (int m = 0; m < src.num_nodes(); ++m) coarse_u[m] = src.u(m);
     std::vector<ode::State> fine_u(fine.num_nodes(), ode::State(dof_, 0.0));
-    transfer_[l].interpolate_correction(coarse_u, fine_u);  // from zero
-    for (int m = 0; m < fine.num_nodes(); ++m) fine.u(m) = fine_u[m];
-    fine.evaluate_all(t_slice, dt, levels_[l].config.rhs);
+    transfer_[l].interpolate_correction(levels_[l + 1].sweeper->values(),
+                                        fine_u);  // from zero
+    fine.set_values(fine_u);
   }
 }
 
@@ -231,15 +219,15 @@ void Pfasst::rebuild_slice(double t_slice, double dt) {
     level.sweeper->set_initial(u_restart_);
   }
   auto& fine = levels_.front();
-  fine.sweeper->spread(t_slice, dt, fine.config.rhs);
-  mirror_to_coarse(t_slice, dt);
+  fine.sweeper->spread(t_slice, fine.config.rhs);
+  mirror_to_coarse();
   if (levels_.size() > 1) {
     auto& coarse = levels_.back();
     for (int s = 0; s < config_.recovery_sweeps; ++s) {
       obs::Span sweep_span = scope.span("pfasst.sweep.coarse");
       coarse.sweeper->sweep(t_slice, dt, coarse.config.rhs);
     }
-    interpolate_to_fine(t_slice, dt);
+    interpolate_to_fine();
   } else {
     for (int s = 0; s < config_.recovery_sweeps; ++s) {
       obs::Span sweep_span = scope.span("pfasst.sweep.fine");
@@ -248,12 +236,13 @@ void Pfasst::rebuild_slice(double t_slice, double dt) {
   }
 }
 
-void Pfasst::compute_fas(int lc, double dt) {
-  obs::Span span = comm_.obs_scope().span("pfasst.fas");
+void Pfasst::compute_fas(int lc, double t_slice, double dt) {
   // tau_C = restrict(I_F incl. tau_F) - I_C(F(restrict U_F)), node-to-node
   // (paper Eqs. (16)-(17); cumulative across levels through tau_F).
   auto& fine = *levels_[lc - 1].sweeper;
   auto& coarse = *levels_[lc].sweeper;
+  coarse.refresh(t_slice, dt, levels_[lc].config.rhs);
+  obs::Span span = comm_.obs_scope().span("pfasst.fas");
   const auto fine_integrals = fine.integrate_node_to_node(dt, true);
   const auto coarse_integrals = coarse.integrate_node_to_node(dt, false);
   std::vector<ode::State> tau(coarse.num_nodes() - 1, ode::State(dof_, 0.0));
@@ -263,7 +252,7 @@ void Pfasst::compute_fas(int lc, double dt) {
   coarse.set_tau(std::move(tau));
 }
 
-void Pfasst::iteration(int k, double t_slice, double dt) {
+double Pfasst::iteration(int k, double t_slice, double dt) {
   const obs::Scope scope = comm_.obs_scope();
   obs::Span iteration_span = scope.span("pfasst.iteration");
   const int num_levels = static_cast<int>(levels_.size());
@@ -273,43 +262,34 @@ void Pfasst::iteration(int k, double t_slice, double dt) {
   const auto sweep_name = [&](int level) {
     return level == 0 ? "pfasst.sweep.fine" : "pfasst.sweep.coarse";
   };
+  double fine_residual = 0.0;
 
   // ---- down the V-cycle: sweep, send forward, restrict, FAS ----
   for (int l = 0; l < num_levels - 1; ++l) {
     auto& level = levels_[l];
-    // F at node 0 is fresh here: the predictor / previous up-cycle ends
-    // with evaluate_all after the last initial-value update.
     for (int s = 0; s < level.config.sweeps; ++s) {
       obs::Span sweep_span = scope.span(sweep_name(l));
       level.sweeper->sweep(t_slice, dt, level.config.rhs);
     }
+    if (l == 0) fine_residual = level.sweeper->residual(dt);
     if (rank < pt - 1) {
       scope.add("pfasst.forward_sends");
       comm_.send(rank + 1, tag(l), level.sweeper->end_value());
     }
 
+    // u_pre keeps the restricted values for the coarse correction.
     auto& coarse = levels_[l + 1];
-    std::vector<ode::State> fine_u(level.sweeper->num_nodes());
-    for (int m = 0; m < level.sweeper->num_nodes(); ++m)
-      fine_u[m] = level.sweeper->u(m);
-    std::vector<ode::State> coarse_u(coarse.sweeper->num_nodes(),
-                                     ode::State(dof_, 0.0));
-    transfer_[l].restrict_values(fine_u, coarse_u);
-    for (int m = 0; m < coarse.sweeper->num_nodes(); ++m)
-      coarse.sweeper->u(m) = coarse_u[m];
-    coarse.u_pre = coarse_u;  // snapshot for the coarse correction
-    coarse.sweeper->evaluate_all(t_slice, dt, coarse.config.rhs);
-    compute_fas(l + 1, dt);
+    transfer_[l].restrict_values(level.sweeper->values(), coarse.u_pre);
+    coarse.sweeper->set_values(coarse.u_pre);
+    compute_fas(l + 1, t_slice, dt);
   }
 
   // ---- coarsest level: receive, sweep, send ----
   {
     auto& level = levels_.back();
-    bool refreshed = false;
     if (rank > 0) {
       if (const auto u_in = recv_initial(rank - 1, tag(num_levels - 1))) {
         level.sweeper->set_initial(*u_in);
-        refreshed = true;
         // Single-level runs have no up-cycle: this receive is the fine
         // forward-send and doubles as the recovery restart value.
         if (num_levels == 1) u_restart_ = *u_in;
@@ -317,9 +297,9 @@ void Pfasst::iteration(int k, double t_slice, double dt) {
     }
     for (int s = 0; s < level.config.sweeps; ++s) {
       obs::Span sweep_span = scope.span(sweep_name(num_levels - 1));
-      level.sweeper->sweep(t_slice, dt, level.config.rhs,
-                           /*refresh_left_f=*/refreshed && s == 0);
+      level.sweeper->sweep(t_slice, dt, level.config.rhs);
     }
+    if (num_levels == 1) fine_residual = level.sweeper->residual(dt);
     if (rank < pt - 1) {
       scope.add("pfasst.forward_sends");
       comm_.send(rank + 1, tag(num_levels - 1), level.sweeper->end_value());
@@ -332,17 +312,12 @@ void Pfasst::iteration(int k, double t_slice, double dt) {
     auto& coarse = levels_[l + 1];
 
     // delta = U_coarse(after sweeps) - U_coarse(at restriction)
-    std::vector<ode::State> delta(coarse.sweeper->num_nodes());
-    for (int m = 0; m < coarse.sweeper->num_nodes(); ++m) {
-      delta[m] = coarse.sweeper->u(m);
+    std::vector<ode::State> delta = coarse.sweeper->values();
+    for (std::size_t m = 0; m < delta.size(); ++m)
       ode::axpy(-1.0, coarse.u_pre[m], delta[m]);
-    }
-    std::vector<ode::State> fine_u(level.sweeper->num_nodes());
-    for (int m = 0; m < level.sweeper->num_nodes(); ++m)
-      fine_u[m] = level.sweeper->u(m);
+    std::vector<ode::State> fine_u = level.sweeper->values();
     transfer_[l].interpolate_correction(delta, fine_u);
-    for (int m = 0; m < level.sweeper->num_nodes(); ++m)
-      level.sweeper->u(m) = fine_u[m];
+    level.sweeper->set_values(fine_u);
 
     // Receive the new initial value from the previous rank (sent during
     // its down-cycle at this level) and add the coarse node-0 correction.
@@ -361,16 +336,17 @@ void Pfasst::iteration(int k, double t_slice, double dt) {
         if (l == 0) u_restart_ = *u_in;
       }
     }
-    level.sweeper->evaluate_all(t_slice, dt, level.config.rhs);
 
     // Interior levels sweep on the way up (Algorithm 1); the finest level
-    // sweeps at the start of the next iteration. Forward sends happen in
-    // the down-cycle only.
+    // sweeps at the start of the next iteration, which evaluates its F.
+    // After the last iteration of a block nothing reads the fine F, so it
+    // is never evaluated. Forward sends happen in the down-cycle only.
     if (l > 0) {
       obs::Span sweep_span = scope.span(sweep_name(l));
       level.sweeper->sweep(t_slice, dt, level.config.rhs);
     }
   }
+  return fine_residual;
 }
 
 }  // namespace stnb::pfasst

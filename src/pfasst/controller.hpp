@@ -48,7 +48,10 @@ struct Config {
 
 /// Per-iteration convergence diagnostics of one rank (time slice).
 struct IterationStats {
-  double fine_residual = 0.0;   // collocation residual on the fine level
+  /// Collocation residual of the fine level (SdcSweeper::residual) right
+  /// after its sweeps in this iteration, where U and F agree: before the
+  /// coarse correction is interpolated onto it.
+  double fine_residual = 0.0;
   double delta = 0.0;           // |u_end^k - u_end^{k-1}|_inf, the paper's
                                 // Sec. IV-B "residual" between iterations
 };
@@ -102,16 +105,18 @@ class Pfasst {
   };
 
   void predictor(double t_slice, double dt);
-  void iteration(int k, double t_slice, double dt);
-  void compute_fas(int coarse_level, double dt);
+  /// One Algorithm-1 V-cycle; returns the fine residual (IterationStats).
+  double iteration(int k, double t_slice, double dt);
+  /// Evaluates the coarse level's stale F, then sets its FAS correction.
+  void compute_fas(int coarse_level, double t_slice, double dt);
 
   // -- fault recovery ------------------------------------------------------
   /// Restriction of the fine provisional solution down the hierarchy (also
   /// the non-predictor initialization path).
-  void mirror_to_coarse(double t_slice, double dt);
+  void mirror_to_coarse();
   /// Interpolation of the provisional coarsest solution up the hierarchy
   /// (also the predictor's final stage).
-  void interpolate_to_fine(double t_slice, double dt);
+  void interpolate_to_fine();
   /// Receive a forward-send, falling back to nullopt (recovery mode) when
   /// the message was lost to a fault.
   std::optional<ode::State> recv_initial(int source, int tag);

@@ -7,8 +7,9 @@
 //     plus summation of node-to-node integrals for the FAS term;
 //   - interpolation: Lagrange polynomial evaluation of coarse corrections
 //     at the fine nodes.
-// A general spatial restriction hook is left as an extension point via
-// the template parameter of `Pfasst` (see controller.hpp).
+// A level with its own spatial representation (fewer particles, a coarser
+// grid) would need a spatial restriction/interpolation pair next to these;
+// none exists because every level here shares the particle set.
 #pragma once
 
 #include <vector>
@@ -25,9 +26,6 @@ class TimeTransfer {
   TimeTransfer(const std::vector<double>& fine_nodes,
                const std::vector<double>& coarse_nodes);
 
-  int fine_count() const { return static_cast<int>(map_.size()) > 0
-                                      ? n_fine_
-                                      : n_fine_; }
   int coarse_count() const { return static_cast<int>(map_.size()); }
   /// Index of the fine node coinciding with coarse node m.
   int fine_index(int m) const { return map_[m]; }

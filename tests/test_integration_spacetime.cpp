@@ -11,6 +11,7 @@
 #include "ode/nodes.hpp"
 #include "ode/sdc.hpp"
 #include "pfasst/controller.hpp"
+#include "vortex/diagnostics.hpp"
 #include "vortex/rhs_parallel.hpp"
 #include "vortex/rhs_tree.hpp"
 #include "vortex/setup.hpp"
@@ -49,6 +50,7 @@ TEST_P(SpaceTime, PfasstPlusParallelTreeMatchesSerialReference) {
 
   // Space-time parallel run (converged: iterations > P_T).
   std::vector<double> errors(ps, -1.0);
+  std::vector<vortex::Invariants> partial(ps);  // per space rank, slice 0
   mpsim::Runtime rt;
   rt.run(pt * ps, [&](mpsim::Comm& world) {
     const int time_slice = world.rank() / ps;
@@ -90,7 +92,10 @@ TEST_P(SpaceTime, PfasstPlusParallelTreeMatchesSerialReference) {
       const Vec3 x_ref = vortex::position(u_ref, p);
       worst = std::max(worst, norm(x_par - x_ref));
     }
-    if (time_slice == 0) errors[space_rank] = worst / x_scale;
+    if (time_slice == 0) {
+      errors[space_rank] = worst / x_scale;
+      partial[space_rank] = vortex::compute_invariants(result.u_end);
+    }
 
     // Residuals must have contracted hard by the final iteration.
     EXPECT_LT(result.stats.back().back().delta, 1e-9);
@@ -99,6 +104,22 @@ TEST_P(SpaceTime, PfasstPlusParallelTreeMatchesSerialReference) {
     ASSERT_GE(errors[r], 0.0);
     EXPECT_LT(errors[r], 2e-3) << "space rank " << r;
   }
+
+  // Inviscid invariants after the run: total vorticity (relative to
+  // sum |alpha|) and the linear impulse I_z must not drift.
+  const vortex::Invariants before = vortex::compute_invariants(global);
+  vortex::Invariants after{};
+  for (const auto& part : partial) {
+    after.total_vorticity += part.total_vorticity;
+    after.linear_impulse += part.linear_impulse;
+  }
+  double strength_sum = 0.0;
+  for (std::size_t p = 0; p < n; ++p)
+    strength_sum += norm(vortex::strength(global, p));
+  EXPECT_LE(norm(after.total_vorticity - before.total_vorticity) /
+                strength_sum,
+            1e-4);
+  EXPECT_LE(std::abs(after.linear_impulse.z - before.linear_impulse.z), 1e-4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, SpaceTime,

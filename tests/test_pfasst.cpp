@@ -4,7 +4,9 @@
 // communication schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "mpsim/comm.hpp"
 #include "ode/nodes.hpp"
@@ -162,6 +164,106 @@ TEST(Pfasst, RhsEvaluationCountsScaleWithIterations) {
     Pfasst p6(comm, two_levels(), {6, true});
     const auto r6 = p6.run({1.0}, 0.0, 0.2, 2);
     EXPECT_GT(r6.rhs_evaluations, 2 * r2.rhs_evaluations);
+  });
+}
+
+// Per-rank RHS call log: the level of every call, in call order.
+ode::RhsFn logged(ode::RhsFn rhs, std::vector<int>& log, int level) {
+  return [rhs = std::move(rhs), &log, level](double t, const State& u,
+                                             State& f) {
+    log.push_back(level);
+    rhs(t, u, f);
+  };
+}
+
+long calls_on(const std::vector<int>& log, int level) {
+  return std::count(log.begin(), log.end(), level);
+}
+
+TEST(Pfasst, RhsEvaluationCountsAreExact) {
+  // F is evaluated only where a sweep or the FAS assembly reads it. Per
+  // rank r, block and iteration (M = intervals, n = sweeps, fault-free):
+  //   fine:   2M_F + 1 (the stale nodes left by the interpolated coarse
+  //           correction, then M_F in the sweep), never after the last
+  //           iteration of a block;
+  //   coarse: M_C + 1 after restriction, 1 for a received initial value
+  //           (r > 0), n_C M_C in the sweeps; the predictor adds
+  //           1 + (r + 1) M_C + r.
+  const int pt = 4, blocks = 2, k_iter = 3;
+  const int mf = 2, mc = 1, nc = 2;  // Lobatto 3 / Lobatto 2, 2 sweeps
+  mpsim::Runtime rt;
+  rt.run(pt, [&](mpsim::Comm& comm) {
+    const int r = comm.rank();
+    std::vector<int> log;
+    std::vector<Level> levels = two_levels(1, nc);
+    for (int l = 0; l < 2; ++l) levels[l].rhs = logged(levels[l].rhs, log, l);
+    Pfasst pfasst(comm, levels, {k_iter, true});
+    const auto result = pfasst.run({1.0}, 0.0, 0.2, blocks * pt);
+    const long per_iteration_coarse = (mc + 1) + (r > 0) + nc * mc;
+    EXPECT_EQ(calls_on(log, 0), blocks * k_iter * (2 * mf + 1));
+    EXPECT_EQ(calls_on(log, 1),
+              blocks * (1 + (r + 1) * mc + r + k_iter * per_iteration_coarse));
+    EXPECT_EQ(result.rhs_evaluations, static_cast<long>(log.size()));
+  });
+
+  // Three levels (5-3-2): the predictor's interpolation leaves the middle
+  // level stale, so its first call is the refresh after the first
+  // restriction, which follows the first fine sweep.
+  rt.run(pt, [&](mpsim::Comm& comm) {
+    const int r = comm.rank();
+    std::vector<int> log;
+    std::vector<Level> levels = {
+        {ode::collocation_nodes(NodeType::kGaussLobatto, 5), test_rhs, 1},
+        {ode::collocation_nodes(NodeType::kGaussLobatto, 3), test_rhs, 1},
+        {ode::collocation_nodes(NodeType::kGaussLobatto, 2), coarse_rhs, 2},
+    };
+    for (int l = 0; l < 3; ++l) levels[l].rhs = logged(levels[l].rhs, log, l);
+    Pfasst pfasst(comm, levels, {k_iter, true});
+    pfasst.run({1.0}, 0.0, 0.2, pt);
+    const auto first = [&](int level) {
+      return std::find(log.begin(), log.end(), level) - log.begin();
+    };
+    EXPECT_LT(first(0), first(1));
+    // Middle: refresh 3, down sweep 2, up sweep 3 stale + 2.
+    EXPECT_EQ(calls_on(log, 0), k_iter * (2 * 4 + 1));
+    EXPECT_EQ(calls_on(log, 1), k_iter * 10);
+    EXPECT_EQ(calls_on(log, 2), 1 + (r + 1) + r + k_iter * (2 + (r > 0) + 2));
+  });
+
+  // No predictor: the fine spread is fresh, and mirror_to_coarse leaves
+  // the coarse F stale for the iteration-0 restriction to overwrite.
+  rt.run(pt, [&](mpsim::Comm& comm) {
+    const int r = comm.rank();
+    std::vector<int> log;
+    std::vector<Level> levels = two_levels(1, nc);
+    for (int l = 0; l < 2; ++l) levels[l].rhs = logged(levels[l].rhs, log, l);
+    Pfasst pfasst(comm, levels, {k_iter, false});
+    pfasst.run({1.0}, 0.0, 0.2, pt);
+    EXPECT_EQ(calls_on(log, 0), 1 + mf + (k_iter - 1) * (2 * mf + 1));
+    EXPECT_EQ(calls_on(log, 1),
+              k_iter * ((mc + 1) + (r > 0) + nc * mc));
+  });
+}
+
+TEST(Pfasst, FineResidualFallsOverIterations) {
+  // IterationStats::fine_residual is the fine collocation residual right
+  // after the fine sweeps; on u' = -u it must fall by 10^3 in 6 iterations
+  // on every time slice.
+  const ode::RhsFn linear = [](double, const State& u, State& f) {
+    for (std::size_t i = 0; i < u.size(); ++i) f[i] = -u[i];
+  };
+  mpsim::Runtime rt;
+  rt.run(4, [&](mpsim::Comm& comm) {
+    std::vector<Level> levels = {
+        {ode::collocation_nodes(NodeType::kGaussLobatto, 3), linear, 1},
+        {ode::collocation_nodes(NodeType::kGaussLobatto, 2), linear, 2},
+    };
+    Pfasst pfasst(comm, levels, {/*iterations=*/6, true});
+    const auto stats = pfasst.run({1.0}, 0.0, 0.2, 4).stats.at(0);
+    ASSERT_EQ(stats.size(), 6u);
+    EXPECT_GT(stats.front().fine_residual, 0.0);
+    EXPECT_LE(stats.back().fine_residual, 1e-3 * stats.front().fine_residual)
+        << "time slice " << comm.rank();
   });
 }
 

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <functional>
 #include <ostream>
+#include <stdexcept>
+#include <vector>
 
 #include "ode/nodes.hpp"
 #include "ode/rk.hpp"
@@ -76,7 +78,7 @@ TEST(Sdc, ManySweepsReachCollocationAccuracy) {
 TEST(Sdc, ResidualDecreasesPerSweep) {
   SdcSweeper sw(collocation_nodes(NodeType::kGaussLobatto, 5), 2);
   sw.set_initial({1.0, 0.0});
-  sw.spread(0.0, 0.5, oscillator_rhs);
+  sw.spread(0.0, oscillator_rhs);
   double prev = sw.residual(0.5);
   for (int k = 0; k < 8; ++k) {
     sw.sweep(0.0, 0.5, oscillator_rhs);
@@ -96,7 +98,7 @@ TEST(Sdc, CollocationSolutionIsSweepFixedPoint) {
   // collocation fixed point.
   SdcSweeper sw(collocation_nodes(NodeType::kGaussLobatto, 3), 1);
   sw.set_initial({1.0});
-  sw.spread(0.0, 0.3, riccati_rhs);
+  sw.spread(0.0, riccati_rhs);
   for (int k = 0; k < 30; ++k) sw.sweep(0.0, 0.3, riccati_rhs);
   const State before = sw.end_value();
   sw.sweep(0.0, 0.3, riccati_rhs);
@@ -111,7 +113,7 @@ TEST(Sdc, TauShiftsFixedPoint) {
   SdcSweeper sw(collocation_nodes(NodeType::kGaussLobatto, 3), 1);
   sw.set_initial({1.0});
   sw.set_tau({State{0.25}, State{0.5}});
-  sw.spread(0.0, 1.0, zero_rhs);
+  sw.spread(0.0, zero_rhs);
   for (int k = 0; k < 5; ++k) sw.sweep(0.0, 1.0, zero_rhs);
   EXPECT_NEAR(sw.end_value()[0], 1.0 + 0.75, 1e-13);
 }
@@ -119,12 +121,66 @@ TEST(Sdc, TauShiftsFixedPoint) {
 TEST(Sdc, RhsEvaluationCountsAreExact) {
   SdcSweeper sw(collocation_nodes(NodeType::kGaussLobatto, 3), 1);
   sw.set_initial({1.0});
-  sw.spread(0.0, 0.1, riccati_rhs);  // 1 eval
+  sw.spread(0.0, riccati_rhs);  // 1 eval
   EXPECT_EQ(sw.rhs_evaluations(), 1);
   sw.sweep(0.0, 0.1, riccati_rhs);  // M = 2 evals
   EXPECT_EQ(sw.rhs_evaluations(), 3);
-  sw.sweep(0.0, 0.1, riccati_rhs, /*refresh_left_f=*/true);  // M + 1
-  EXPECT_EQ(sw.rhs_evaluations(), 6);
+  sw.sweep(0.0, 0.1, riccati_rhs);  // nothing stale: M again
+  EXPECT_EQ(sw.rhs_evaluations(), 5);
+}
+
+TEST(Sdc, StaleNodesAreEvaluatedExactlyOnce) {
+  // Writing U marks F stale; refresh/sweep evaluate exactly the stale
+  // nodes, in node order, before anything reads F.
+  std::vector<double> times;
+  const RhsFn rhs = [&](double t, const State& u, State& f) {
+    times.push_back(t);
+    riccati_rhs(t, u, f);
+  };
+  SdcSweeper sw(collocation_nodes(NodeType::kGaussLobatto, 3), 1);
+  sw.set_initial({1.0});
+  sw.spread(0.0, rhs);
+  EXPECT_EQ(times, (std::vector<double>{0.0}));
+
+  // A new initial value: the sweep evaluates node 0, then nodes 1..M.
+  times.clear();
+  sw.set_initial({0.9});
+  sw.sweep(2.0, 1.0, rhs);
+  EXPECT_EQ(times, (std::vector<double>{2.0, 2.5, 3.0}));
+
+  // New values everywhere: refresh evaluates all M+1 nodes once; a second
+  // refresh evaluates nothing, and the sweep only its M new nodes.
+  times.clear();
+  sw.set_values({State{1.0}, State{0.8}, State{0.7}});
+  sw.refresh(2.0, 1.0, rhs);
+  EXPECT_EQ(times, (std::vector<double>{2.0, 2.5, 3.0}));
+  sw.refresh(2.0, 1.0, rhs);
+  EXPECT_EQ(times.size(), 3u);
+  sw.sweep(2.0, 1.0, rhs);
+  EXPECT_EQ(times, (std::vector<double>{2.0, 2.5, 3.0, 2.5, 3.0}));
+  EXPECT_EQ(sw.rhs_evaluations(), 9);
+
+  EXPECT_THROW(sw.set_values({State{1.0}}), std::invalid_argument);
+}
+
+TEST(Sdc, ReadingStaleFThrows) {
+  SdcSweeper sw(collocation_nodes(NodeType::kGaussLobatto, 3), 1);
+  EXPECT_THROW(sw.residual(0.1), std::logic_error);  // F never evaluated
+  sw.set_initial({1.0});
+  sw.spread(0.0, riccati_rhs);
+  EXPECT_NO_THROW(sw.residual(0.1));
+  EXPECT_NO_THROW(sw.integrate_node_to_node(0.1, true));
+
+  sw.set_initial({0.5});
+  EXPECT_THROW(sw.residual(0.1), std::logic_error);
+  EXPECT_THROW(sw.integrate_node_to_node(0.1, false), std::logic_error);
+  sw.refresh(0.0, 0.1, riccati_rhs);
+  EXPECT_NO_THROW(sw.residual(0.1));
+
+  sw.set_values({State{1.0}, State{0.9}, State{0.8}});
+  EXPECT_THROW(sw.integrate_node_to_node(0.1, true), std::logic_error);
+  sw.sweep(0.0, 0.1, riccati_rhs);
+  EXPECT_NO_THROW(sw.integrate_node_to_node(0.1, true));
 }
 
 TEST(Sdc, RejectsNodesNotSpanningUnitInterval) {
