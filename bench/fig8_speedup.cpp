@@ -11,8 +11,8 @@
 // --large-n / --*-ps / --max-pt flags (defaults fit a 1-core box).
 //
 // --json PATH writes machine-readable metrics (per-phase virtual-time
-// totals per rank and per time-slice group; alpha is computable from the
-// pfasst.sweep.coarse / pfasst.sweep.fine per-sweep averages) plus a
+// totals per rank and per time-slice group, and each run's alpha from the
+// mean virtual cost of a vortex.rhs.coarse / vortex.rhs.fine call) plus a
 // Chrome trace-event file of the widest PFASST run at
 // `<PATH minus .json>.trace.json` (one track per simulated rank; load in
 // Perfetto / chrome://tracing).
@@ -79,6 +79,7 @@ void write_phases(JsonWriter& w, const obs::Registry& reg, int ranks,
   static constexpr const char* kPhases[] = {
       "pfasst.predictor", "pfasst.iteration",   "pfasst.sweep.fine",
       "pfasst.sweep.coarse", "pfasst.fas",      "vortex.rhs.evaluate",
+      "vortex.rhs.fine",  "vortex.rhs.coarse",
       "tree.traversal",   "tree.let_exchange",  "tree.branch_exchange",
       "tree.build",       "tree.domain",        "mpsim.send",
       "mpsim.recv",       "mpsim.barrier"};
@@ -106,6 +107,16 @@ void write_phases(JsonWriter& w, const obs::Registry& reg, int ranks,
     w.end_object();
   }
   w.end_object();
+}
+
+/// Wraps a level's RHS in a span named after the level, so a run's
+/// per-level RHS cost can be read back from its registry.
+ode::RhsFn level_span(mpsim::Comm& comm, const char* name, ode::RhsFn fn) {
+  return [&comm, name, fn = std::move(fn)](double t, const ode::State& u,
+                                           ode::State& f) {
+    obs::Span span = comm.obs_scope().span(name);
+    fn(t, u, f);
+  };
 }
 
 }  // namespace
@@ -265,9 +276,9 @@ int main(int argc, char** argv) {
         vortex::ParallelTreeRhs coarse(space, kernel, coarse_cfg, begin);
         std::vector<pfasst::Level> levels = {
             {ode::collocation_nodes(ode::NodeType::kGaussLobatto, 3),
-             fine.as_fn(), 1},
+             level_span(world, "vortex.rhs.fine", fine.as_fn()), 1},
             {ode::collocation_nodes(ode::NodeType::kGaussLobatto, 2),
-             coarse.as_fn(), 2},
+             level_span(world, "vortex.rhs.coarse", coarse.as_fn()), 2},
         };
         pfasst::Pfasst controller(time, levels, {2, true});
         controller.run(u0, 0.0, dt, nsteps);
@@ -336,13 +347,16 @@ int main(int argc, char** argv) {
             .member("theory", run.theory)
             .member("bound", run.bound)
             .member("efficiency", run.speedup / run.p_time);
-        // Sec. IV-B alpha straight from the instrumented sweeps: mean
-        // coarse-sweep time over mean fine-sweep time.
-        const auto fine = reg.span_total("pfasst.sweep.fine");
-        const auto coarse = reg.span_total("pfasst.sweep.coarse");
+        // Sec. IV-B alpha from this run's RHS calls: 2 coarse vs 3 fine
+        // nodes times the mean coarse/fine virtual cost of one call (the
+        // Eq. (26) form above). Sweep spans cannot give it: how many stale
+        // nodes a sweep evaluates varies from sweep to sweep.
+        const auto fine = reg.span_total("vortex.rhs.fine");
+        const auto coarse = reg.span_total("vortex.rhs.coarse");
         if (fine.count > 0 && coarse.count > 0) {
-          w.member("alpha_from_sweep_spans",
-                   (coarse.total / static_cast<double>(coarse.count)) /
+          w.member("alpha_from_rhs_costs",
+                   2.0 / 3.0 *
+                       (coarse.total / static_cast<double>(coarse.count)) /
                        (fine.total / static_cast<double>(fine.count)));
         }
         write_phases(w, reg, ranks, ps);

@@ -25,6 +25,7 @@
 //                               [--restore run.ckpt]
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,7 +45,9 @@
 
 using namespace stnb;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   Cli cli;
   cli.add("pt", "4", "time-parallel ranks (P_T)");
   cli.add("ps", "2", "space-parallel ranks per time slice (P_S)");
@@ -331,4 +334,18 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+// A rank error (for example a FaultError from a soft-fail that drops a
+// space-communicator message inside a parallel RHS, which slice recovery
+// does not cover) aborts the simulated world; report it and fail.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "spacetime_vortex: %s\n", e.what());
+    return 1;
+  }
 }

@@ -1,6 +1,7 @@
 #include "mpsim/comm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -67,6 +68,35 @@ void throw_if_deadlocked(CheckHook& hook) {
 
 }  // namespace
 
+/// Abort state shared by a world communicator and every communicator split
+/// from it. Runtime::run raises it when a rank body throws. Every wait loop
+/// re-checks it under the mutex it waits on, and raise() notifies each of
+/// those condition variables under the same mutex, so no blocked peer can
+/// miss it: the run fails with the causing error instead of hanging.
+struct WorldAbort {
+  std::atomic<int> culprit{-1};  // world rank whose error raised it
+  Mutex mu;
+  std::vector<std::weak_ptr<CommImpl>> comms STNB_GUARDED_BY(mu);
+
+  void track(const std::shared_ptr<CommImpl>& comm) STNB_EXCLUDES(mu) {
+    MutexLock lock(mu);
+    std::erase_if(comms, [](const auto& c) { return c.expired(); });
+    comms.push_back(comm);
+  }
+
+  /// Raises the abort (the first caller names the culprit) and wakes every
+  /// waiter of every live communicator of the world.
+  void raise(int world_rank) STNB_EXCLUDES(mu);
+
+  /// Called from inside wait loops, with the loop's mutex held.
+  void throw_if_raised() const {
+    const int rank = culprit.load(std::memory_order_acquire);
+    if (rank >= 0)
+      throw AbortError("mpsim: run aborted after rank " +
+                       std::to_string(rank) + " failed");
+  }
+};
+
 /// Shared state of one communicator. Rank threads synchronize through the
 /// mailboxes (point-to-point) and the single collective slot (all
 /// collectives are synchronizing, like their MPI counterparts here).
@@ -90,6 +120,9 @@ struct CommImpl {
   // this communicator's deterministic identity in its reports.
   CheckHook* checker = nullptr;
   std::string comm_key = "w";
+
+  // Shared with the world and its other split children.
+  std::shared_ptr<WorldAbort> abort;
 
   // Collective rendezvous (reusable two-phase barrier).
   Mutex mu;
@@ -156,9 +189,13 @@ struct CommImpl {
       // holding it up are mid-departure (straight-line code), so this wait
       // always terminates and must not look like a wait-for edge.
       if (checker == nullptr) {
-        while (arrived >= size) cv.wait(mu);
+        while (arrived >= size) {
+          abort->throw_if_raised();
+          cv.wait(mu);
+        }
       } else {
         while (arrived >= size) {
+          abort->throw_if_raised();
           throw_if_deadlocked(*checker);
           cv.wait_poll(mu);
         }
@@ -196,7 +233,10 @@ struct CommImpl {
       } else {
         const std::uint64_t expected = generation + 1;
         if (checker == nullptr) {
-          while (generation < expected) cv.wait(mu);
+          while (generation < expected) {
+            abort->throw_if_raised();
+            cv.wait(mu);
+          }
         } else {
           PendingOp op;
           op.kind = PendingOp::Kind::kCollective;
@@ -206,6 +246,7 @@ struct CommImpl {
           checker->on_blocked(world_ranks[rank], std::move(op));
           BlockedGuard guard{checker, world_ranks[rank]};
           while (generation < expected) {
+            abort->throw_if_raised();
             throw_if_deadlocked(*checker);
             cv.wait_poll(mu);
           }
@@ -234,6 +275,31 @@ struct CommImpl {
     return gen;
   }
 };
+
+void WorldAbort::raise(int world_rank) {
+  int none = -1;
+  if (!culprit.compare_exchange_strong(none, world_rank,
+                                       std::memory_order_acq_rel))
+    return;
+  std::vector<std::shared_ptr<CommImpl>> live;
+  {
+    MutexLock lock(mu);
+    for (const auto& c : comms)
+      if (auto impl = c.lock()) live.push_back(std::move(impl));
+  }
+  for (const auto& impl : live) {
+    for (const auto& box : impl->mailboxes) {
+      MutexLock lock(box->mu);
+      box->cv.notify_all();
+    }
+    {
+      MutexLock lock(impl->mu);
+      impl->cv.notify_all();
+    }
+    MutexLock lock(impl->split_mu);
+    impl->split_cv.notify_all();
+  }
+}
 
 int Comm::size() const { return impl_->size; }
 
@@ -413,13 +479,16 @@ Matched match_message(CommImpl& impl, int rank, int source, int tag,
           BlockedGuard guard{hook, impl.world_ranks[rank]};
           while ((it = pick_match(box.queues, source, tag)) ==
                  box.queues.end()) {
+            impl.abort->throw_if_raised();
             throw_if_deadlocked(*hook);
             box.cv.wait_poll(box.mu);
           }
         } else {
           while ((it = pick_match(box.queues, source, tag)) ==
-                 box.queues.end())
+                 box.queues.end()) {
+            impl.abort->throw_if_raised();
             box.cv.wait(box.mu);
+          }
         }
       }
       msg_source = it->first.first;
@@ -730,6 +799,8 @@ Comm Comm::split(int color, int key) {
     child->injector = impl_->injector;
     child->reliable = impl_->reliable;
     child->checker = impl_->checker;
+    child->abort = impl_->abort;
+    child->abort->track(child);
     // Deterministic child identity: the split's collective generation and
     // color pin it regardless of thread scheduling.
     child->comm_key = impl_->comm_key + "/" + std::to_string(gen) + "." +
@@ -758,10 +829,13 @@ Comm Comm::split(int color, int key) {
     // terminates (the polling is only for deadlock-abort propagation).
     CheckHook* const hook = impl_->checker;
     if (hook == nullptr) {
-      while (impl_->split_published.count(map_key) == 0)
+      while (impl_->split_published.count(map_key) == 0) {
+        impl_->abort->throw_if_raised();
         impl_->split_cv.wait(impl_->split_mu);
+      }
     } else {
       while (impl_->split_published.count(map_key) == 0) {
+        impl_->abort->throw_if_raised();
         throw_if_deadlocked(*hook);
         impl_->split_cv.wait_poll(impl_->split_mu);
       }
@@ -845,6 +919,8 @@ std::vector<double> Runtime::run(
   world->injector = injector_;
   world->reliable = reliable_;
   world->checker = hook;
+  world->abort = std::make_shared<WorldAbort>();
+  world->abort->track(world);
   for (int r = 0; r < n_ranks; ++r) world->world_ranks.push_back(r);
   if (hook != nullptr)
     hook->on_comm_created(world->comm_key, /*is_world=*/true,
@@ -860,6 +936,7 @@ std::vector<double> Runtime::run(
       rank_main(comm);
     } catch (...) {
       errors[r] = std::current_exception();
+      world->abort->raise(r);
     }
     if (hook != nullptr) hook->on_rank_done(r);
   };
@@ -924,20 +1001,23 @@ std::vector<double> Runtime::run(
   bool failed = false;
   for (auto& e : errors) failed = failed || static_cast<bool>(e);
   if (hook != nullptr && failed) hook->end_run(/*failed=*/true);
-  // A rank's own error outranks a secondary deadlock-abort CheckError
-  // raised on its peers: rethrow the most causal one.
-  std::exception_ptr check_error;
+  // A rank's own error outranks a secondary deadlock-abort CheckError and
+  // the AbortErrors it raised on its peers: rethrow the most causal one.
+  std::exception_ptr check_error, abort_error;
   for (auto& e : errors) {
     if (!e) continue;
     try {
       std::rethrow_exception(e);
     } catch (const CheckError&) {
       if (!check_error) check_error = e;
+    } catch (const AbortError&) {
+      if (!abort_error) abort_error = e;
     } catch (...) {
       std::rethrow_exception(e);
     }
   }
   if (check_error) std::rethrow_exception(check_error);
+  if (abort_error) std::rethrow_exception(abort_error);
   // Finalize-time analysis: message races, never-received sends, leaked
   // sub-communicators. Throws CheckError on violations.
   if (hook != nullptr) hook->end_run(/*failed=*/false);

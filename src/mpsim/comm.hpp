@@ -57,6 +57,14 @@ inline void copy_bytes(void* dst, const void* src, std::size_t n) {
 }
 }  // namespace detail
 
+/// Thrown by a blocking receive, collective or split on a rank whose world
+/// was aborted because another rank's body threw. Runtime::run rethrows
+/// the causing error, not this one.
+class AbortError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Source and tag of the message a receive actually matched — only
 /// informative for wildcard receives (kAnySource / kAnyTag).
 struct RecvStatus {
@@ -282,8 +290,12 @@ std::size_t resolve_sched_stack_bytes(std::size_t stack_kb);
 
 /// Runs `rank_main` on `n_ranks` simulated ranks connected by a world
 /// communicator (OS threads or scheduler fibers per SchedConfig).
-/// Returns the final virtual time of each rank. Exceptions from rank
-/// bodies are rethrown (first one wins) after all ranks finish.
+/// Returns the final virtual time of each rank. An exception escaping a
+/// rank body aborts the world: every peer blocked (or later blocking) in a
+/// receive, collective or split on the world or any communicator split
+/// from it throws AbortError instead of waiting forever. Once all ranks
+/// have finished, the causing error is rethrown (lowest rank first; a
+/// CheckError only if no other error caused the abort).
 class Runtime {
  public:
   explicit Runtime(CostModel model = {}) : model_(model) {}

@@ -62,7 +62,6 @@ void SdcSweeper::sweep(double t0, double dt, const RhsFn& rhs) {
 
   // f_old holds f(t_m, U^k_m) for the node we are about to overwrite.
   State f_old = f_[0];
-  State f_new(dof_);
   for (int m = 0; m + 1 < m_nodes; ++m) {
     const double dtm = dt * (nodes_[m + 1] - nodes_[m]);
     // U^{k+1}_{m+1} = U^{k+1}_m + dtm (F^{k+1}_m - F^k_m) + I_m
@@ -73,10 +72,15 @@ void SdcSweeper::sweep(double t0, double dt, const RhsFn& rhs) {
 
     f_old = f_[m + 1];  // save f(U^k_{m+1}) before overwriting
     u_[m + 1] = std::move(next);
-    rhs(t0 + dt * nodes_[m + 1], u_[m + 1], f_new);
-    ++rhs_evals_;
-    f_[m + 1] = f_new;
+    if (m + 2 < m_nodes) {
+      rhs(t0 + dt * nodes_[m + 1], u_[m + 1], f_[m + 1]);
+      ++rhs_evals_;
+    }
   }
+  // The sweep itself never reads the last node's F: leave it to whoever
+  // does (the next sweep, the residual, the FAS assembly), so a caller can
+  // forward-send end_value() before paying for it.
+  stale_.back() = true;
 }
 
 void SdcSweeper::require_fresh() const {

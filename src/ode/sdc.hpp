@@ -10,7 +10,9 @@
 // the PFASST levels (which add FAS corrections via `set_tau`). It keeps one
 // freshness bit per node: writing U marks F stale, and F is evaluated only
 // when a sweep or an integral reads it, so no caller computes an F that
-// nobody reads. Reading stale F throws instead of using old values.
+// nobody reads. A sweep leaves its last node stale too, so a caller can
+// send end_value() before paying for that F. Reading stale F throws
+// instead of using old values.
 #pragma once
 
 #include <functional>
@@ -55,8 +57,9 @@ class SdcSweeper {
   void refresh(double t0, double dt, const RhsFn& rhs);
 
   /// One correction sweep (Eq. 13): `refresh`, then uses the stored
-  /// (U, F) as iterate k and replaces them with iterate k+1. Counts M RHS
-  /// evaluations plus 1 per stale node.
+  /// (U, F) as iterate k and replaces them with iterate k+1. Evaluates F
+  /// at nodes 1..M-1 and leaves node M stale: the sweep never reads it.
+  /// Counts M - 1 RHS evaluations plus 1 per stale node.
   void sweep(double t0, double dt, const RhsFn& rhs);
 
   /// FAS correction: tau[m] is the node-to-node integral correction added
@@ -104,7 +107,8 @@ class SdcSweeper {
 /// Serial SDC time integrator: `sweeps` corrections per step over nsteps
 /// uniform steps on [t0, t0 + nsteps*dt]. This is the paper's SDC(K)
 /// baseline. Returns the final state; `sweeper` provides node layout and
-/// is reused across steps.
+/// is reused across steps. Costs 1 + K M - 1 RHS evaluations per step
+/// (8 for SDC(4) on 3 Lobatto nodes): the last sweep's F_M is never read.
 State sdc_integrate(SdcSweeper& sweeper, const RhsFn& rhs, State u0,
                     double t0, double dt, int nsteps, int sweeps);
 

@@ -140,7 +140,9 @@ void Pfasst::predictor(double t_slice, double dt) {
   // Burn-in (Fig. 6): rank n performs n+1 coarse sweeps; between stages it
   // receives the previous rank's stage end value as an improved initial
   // condition. Total pipeline latency equals one sweep per rank, but the
-  // extra sweeps sharpen the provisional solution (Sec. III-B3).
+  // extra sweeps sharpen the provisional solution (Sec. III-B3). Each
+  // sweep leaves its last node stale, so every stage's send goes out with
+  // no RHS call in front of it; the next stage's sweep evaluates that node.
   sweeper.spread(t_slice, coarse.config.rhs);
   for (int j = 0; j <= rank; ++j) {
     if (j > 0) {
@@ -265,17 +267,21 @@ double Pfasst::iteration(int k, double t_slice, double dt) {
   double fine_residual = 0.0;
 
   // ---- down the V-cycle: sweep, send forward, restrict, FAS ----
+  // Each send goes out before the sweep's stale last node is evaluated:
+  // the successor waits for the value, not for F.
   for (int l = 0; l < num_levels - 1; ++l) {
     auto& level = levels_[l];
     for (int s = 0; s < level.config.sweeps; ++s) {
       obs::Span sweep_span = scope.span(sweep_name(l));
       level.sweeper->sweep(t_slice, dt, level.config.rhs);
     }
-    if (l == 0) fine_residual = level.sweeper->residual(dt);
     if (rank < pt - 1) {
       scope.add("pfasst.forward_sends");
       comm_.send(rank + 1, tag(l), level.sweeper->end_value());
     }
+    // The residual and the FAS assembly below read this level's F.
+    level.sweeper->refresh(t_slice, dt, level.config.rhs);
+    if (l == 0) fine_residual = level.sweeper->residual(dt);
 
     // u_pre keeps the restricted values for the coarse correction.
     auto& coarse = levels_[l + 1];
@@ -299,10 +305,15 @@ double Pfasst::iteration(int k, double t_slice, double dt) {
       obs::Span sweep_span = scope.span(sweep_name(num_levels - 1));
       level.sweeper->sweep(t_slice, dt, level.config.rhs);
     }
-    if (num_levels == 1) fine_residual = level.sweeper->residual(dt);
     if (rank < pt - 1) {
       scope.add("pfasst.forward_sends");
       comm_.send(rank + 1, tag(num_levels - 1), level.sweeper->end_value());
+    }
+    // With more than one level nothing reads the coarsest F again before
+    // the next restriction overwrites it, so it is never evaluated.
+    if (num_levels == 1) {
+      level.sweeper->refresh(t_slice, dt, level.config.rhs);
+      fine_residual = level.sweeper->residual(dt);
     }
   }
 

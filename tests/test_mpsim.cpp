@@ -221,6 +221,45 @@ TEST(Mpsim, RankExceptionsPropagateToCaller) {
                std::runtime_error);
 }
 
+TEST(Mpsim, RankErrorAbortsPeersBlockedInRecvAndSplitBarrier) {
+  // Rank 1 throws while rank 0 waits on the world for a message rank 1
+  // never sends and ranks 2-3 wait in a barrier on a communicator split
+  // from the world that rank 1 never joins. The peers must be woken and
+  // the run must fail with rank 1's own error instead of hanging (a ctest
+  // TIMEOUT guards the hang).
+  for (const SchedMode mode : {SchedMode::kThreadPerRank, SchedMode::kFiber}) {
+    SchedConfig sched;
+    sched.mode = mode;
+    sched.workers = 2;
+    Runtime rt;
+    rt.set_sched(sched);
+    std::vector<int> woken(4, 0);
+    try {
+      rt.run(4, [&](Comm& comm) {
+        const int r = comm.rank();
+        try {
+          Comm rest = comm.split(r == 0 ? 0 : 1, r);  // {0}, {1, 2, 3}
+          if (r == 0) (void)comm.recv<int>(1, 0);
+          if (r == 1) throw std::runtime_error("rank 1 failed");
+          if (r >= 2) rest.barrier();
+        } catch (...) {
+          // AbortError; under STNB_CHECK=1 the checker may instead report
+          // the wait on the finished rank 1 as a deadlock first.
+          if (r != 1) woken[r] = 1;
+          throw;
+        }
+      });
+      ADD_FAILURE() << "run returned normally";
+    } catch (const AbortError& e) {
+      ADD_FAILURE() << "rethrew a secondary abort: " << e.what();
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "rank 1 failed");
+    }
+    EXPECT_EQ(woken, (std::vector<int>{1, 0, 1, 1}))
+        << (mode == SchedMode::kFiber ? "fiber" : "thread") << " mode";
+  }
+}
+
 TEST(Mpsim, RecvFailsLoudlyOnElementSizeMismatch) {
   Runtime rt;
   rt.run(2, [&](Comm& comm) {

@@ -181,14 +181,17 @@ long calls_on(const std::vector<int>& log, int level) {
 }
 
 TEST(Pfasst, RhsEvaluationCountsAreExact) {
-  // F is evaluated only where a sweep or the FAS assembly reads it. Per
-  // rank r, block and iteration (M = intervals, n = sweeps, fault-free):
+  // F is evaluated only where a sweep, the residual or the FAS assembly
+  // reads it; a sweep leaves its last node stale. Per rank r, block and
+  // iteration (M = intervals, n = sweeps, fault-free):
   //   fine:   2M_F + 1 (the stale nodes left by the interpolated coarse
-  //           correction, then M_F in the sweep), never after the last
-  //           iteration of a block;
+  //           correction, M_F - 1 in the sweep, then its last node after
+  //           the forward-send), never after the last iteration of a
+  //           block;
   //   coarse: M_C + 1 after restriction, 1 for a received initial value
-  //           (r > 0), n_C M_C in the sweeps; the predictor adds
-  //           1 + (r + 1) M_C + r.
+  //           (r > 0), n_C M_C - 1 in the sweeps (the last sweep's last
+  //           node is never read); the predictor adds
+  //           1 + (r + 1) M_C + r - 1.
   const int pt = 4, blocks = 2, k_iter = 3;
   const int mf = 2, mc = 1, nc = 2;  // Lobatto 3 / Lobatto 2, 2 sweeps
   mpsim::Runtime rt;
@@ -199,10 +202,11 @@ TEST(Pfasst, RhsEvaluationCountsAreExact) {
     for (int l = 0; l < 2; ++l) levels[l].rhs = logged(levels[l].rhs, log, l);
     Pfasst pfasst(comm, levels, {k_iter, true});
     const auto result = pfasst.run({1.0}, 0.0, 0.2, blocks * pt);
-    const long per_iteration_coarse = (mc + 1) + (r > 0) + nc * mc;
+    const long per_iteration_coarse = (mc + 1) + (r > 0) + nc * mc - 1;
     EXPECT_EQ(calls_on(log, 0), blocks * k_iter * (2 * mf + 1));
     EXPECT_EQ(calls_on(log, 1),
-              blocks * (1 + (r + 1) * mc + r + k_iter * per_iteration_coarse));
+              blocks * (1 + (r + 1) * mc + r - 1 +
+                        k_iter * per_iteration_coarse));
     EXPECT_EQ(result.rhs_evaluations, static_cast<long>(log.size()));
   });
 
@@ -224,10 +228,11 @@ TEST(Pfasst, RhsEvaluationCountsAreExact) {
       return std::find(log.begin(), log.end(), level) - log.begin();
     };
     EXPECT_LT(first(0), first(1));
-    // Middle: refresh 3, down sweep 2, up sweep 3 stale + 2.
+    // Middle: refresh 3, down sweep 1 + its last node for the FAS, up
+    // sweep 3 stale + 1 (its last node is never read).
     EXPECT_EQ(calls_on(log, 0), k_iter * (2 * 4 + 1));
-    EXPECT_EQ(calls_on(log, 1), k_iter * 10);
-    EXPECT_EQ(calls_on(log, 2), 1 + (r + 1) + r + k_iter * (2 + (r > 0) + 2));
+    EXPECT_EQ(calls_on(log, 1), k_iter * 9);
+    EXPECT_EQ(calls_on(log, 2), 1 + 2 * r + k_iter * (2 + (r > 0) + 1));
   });
 
   // No predictor: the fine spread is fresh, and mirror_to_coarse leaves
@@ -241,7 +246,7 @@ TEST(Pfasst, RhsEvaluationCountsAreExact) {
     pfasst.run({1.0}, 0.0, 0.2, pt);
     EXPECT_EQ(calls_on(log, 0), 1 + mf + (k_iter - 1) * (2 * mf + 1));
     EXPECT_EQ(calls_on(log, 1),
-              k_iter * ((mc + 1) + (r > 0) + nc * mc));
+              k_iter * ((mc + 1) + (r > 0) + nc * mc - 1));
   });
 }
 

@@ -82,6 +82,7 @@ TEST(Sdc, ResidualDecreasesPerSweep) {
   double prev = sw.residual(0.5);
   for (int k = 0; k < 8; ++k) {
     sw.sweep(0.0, 0.5, oscillator_rhs);
+    sw.refresh(0.0, 0.5, oscillator_rhs);  // the sweep left F_M stale
     const double r = sw.residual(0.5);
     EXPECT_LT(r, prev * 0.9) << "sweep " << k;
     prev = r;
@@ -89,6 +90,7 @@ TEST(Sdc, ResidualDecreasesPerSweep) {
   // Explicit sweeps contract by roughly dt per sweep; drive further down
   // and check the residual reaches roundoff levels eventually.
   for (int k = 0; k < 24; ++k) sw.sweep(0.0, 0.5, oscillator_rhs);
+  sw.refresh(0.0, 0.5, oscillator_rhs);
   EXPECT_LT(sw.residual(0.5), 1e-12);
 }
 
@@ -123,10 +125,52 @@ TEST(Sdc, RhsEvaluationCountsAreExact) {
   sw.set_initial({1.0});
   sw.spread(0.0, riccati_rhs);  // 1 eval
   EXPECT_EQ(sw.rhs_evaluations(), 1);
-  sw.sweep(0.0, 0.1, riccati_rhs);  // M = 2 evals
-  EXPECT_EQ(sw.rhs_evaluations(), 3);
-  sw.sweep(0.0, 0.1, riccati_rhs);  // nothing stale: M again
+  sw.sweep(0.0, 0.1, riccati_rhs);  // M - 1 = 1 eval, F_M left stale
+  EXPECT_EQ(sw.rhs_evaluations(), 2);
+  sw.sweep(0.0, 0.1, riccati_rhs);  // stale F_M, then M - 1 again
+  EXPECT_EQ(sw.rhs_evaluations(), 4);
+  sw.refresh(0.0, 0.1, riccati_rhs);  // F_M for a reader
   EXPECT_EQ(sw.rhs_evaluations(), 5);
+}
+
+TEST(Sdc, LazyLastNodeIsBitIdenticalToEagerSweeps) {
+  // Leaving F_M stale after a sweep only moves its evaluation: node values
+  // must match, bit for bit, a run that refreshes after every sweep (the
+  // eager evaluation order).
+  SdcSweeper lazy(collocation_nodes(NodeType::kGaussLobatto, 5), 2);
+  SdcSweeper eager(collocation_nodes(NodeType::kGaussLobatto, 5), 2);
+  for (SdcSweeper* sw : {&lazy, &eager}) {
+    sw->set_initial({1.0, 0.0});
+    sw->spread(0.0, oscillator_rhs);
+  }
+  for (int k = 0; k < 6; ++k) {
+    lazy.sweep(0.0, 0.5, oscillator_rhs);
+    eager.sweep(0.0, 0.5, oscillator_rhs);
+    eager.refresh(0.0, 0.5, oscillator_rhs);
+    for (int m = 0; m < lazy.num_nodes(); ++m)
+      EXPECT_EQ(lazy.u(m), eager.u(m)) << "sweep " << k << " node " << m;
+  }
+  // The eager run paid for one F_M per sweep that nothing read.
+  EXPECT_EQ(eager.rhs_evaluations() - lazy.rhs_evaluations(), 1);
+
+  // Serial SDC(4) on 3 Lobatto nodes: spread 1 + first sweep 1 + three
+  // sweeps of stale F_M + 1 = 8 RHS calls per step (9 if eager).
+  SdcSweeper sdc4(collocation_nodes(NodeType::kGaussLobatto, 3), 1);
+  const State u = sdc_integrate(sdc4, riccati_rhs, {1.0}, 0.0, 0.1, 5, 4);
+  EXPECT_EQ(sdc4.rhs_evaluations(), 5 * 8);
+  SdcSweeper eager4(collocation_nodes(NodeType::kGaussLobatto, 3), 1);
+  State v = {1.0};
+  for (int step = 0; step < 5; ++step) {
+    eager4.set_initial(v);
+    eager4.spread(step * 0.1, riccati_rhs);
+    for (int k = 0; k < 4; ++k) {
+      eager4.sweep(step * 0.1, 0.1, riccati_rhs);
+      eager4.refresh(step * 0.1, 0.1, riccati_rhs);
+    }
+    v = eager4.end_value();
+  }
+  EXPECT_EQ(u, v);
+  EXPECT_EQ(eager4.rhs_evaluations(), 5 * 9);
 }
 
 TEST(Sdc, StaleNodesAreEvaluatedExactlyOnce) {
@@ -142,14 +186,17 @@ TEST(Sdc, StaleNodesAreEvaluatedExactlyOnce) {
   sw.spread(0.0, rhs);
   EXPECT_EQ(times, (std::vector<double>{0.0}));
 
-  // A new initial value: the sweep evaluates node 0, then nodes 1..M.
+  // A new initial value: the sweep evaluates node 0, then nodes 1..M-1,
+  // and leaves node M stale.
   times.clear();
   sw.set_initial({0.9});
   sw.sweep(2.0, 1.0, rhs);
+  EXPECT_EQ(times, (std::vector<double>{2.0, 2.5}));
+  sw.refresh(2.0, 1.0, rhs);
   EXPECT_EQ(times, (std::vector<double>{2.0, 2.5, 3.0}));
 
   // New values everywhere: refresh evaluates all M+1 nodes once; a second
-  // refresh evaluates nothing, and the sweep only its M new nodes.
+  // refresh evaluates nothing, and the sweep only its M-1 inner new nodes.
   times.clear();
   sw.set_values({State{1.0}, State{0.8}, State{0.7}});
   sw.refresh(2.0, 1.0, rhs);
@@ -157,6 +204,8 @@ TEST(Sdc, StaleNodesAreEvaluatedExactlyOnce) {
   sw.refresh(2.0, 1.0, rhs);
   EXPECT_EQ(times.size(), 3u);
   sw.sweep(2.0, 1.0, rhs);
+  EXPECT_EQ(times, (std::vector<double>{2.0, 2.5, 3.0, 2.5}));
+  sw.refresh(2.0, 1.0, rhs);
   EXPECT_EQ(times, (std::vector<double>{2.0, 2.5, 3.0, 2.5, 3.0}));
   EXPECT_EQ(sw.rhs_evaluations(), 9);
 
@@ -179,7 +228,9 @@ TEST(Sdc, ReadingStaleFThrows) {
 
   sw.set_values({State{1.0}, State{0.9}, State{0.8}});
   EXPECT_THROW(sw.integrate_node_to_node(0.1, true), std::logic_error);
-  sw.sweep(0.0, 0.1, riccati_rhs);
+  sw.sweep(0.0, 0.1, riccati_rhs);  // leaves F_M stale
+  EXPECT_THROW(sw.residual(0.1), std::logic_error);
+  sw.refresh(0.0, 0.1, riccati_rhs);
   EXPECT_NO_THROW(sw.integrate_node_to_node(0.1, true));
 }
 
