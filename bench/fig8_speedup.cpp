@@ -77,12 +77,11 @@ ode::State local_slice(const ode::State& global, std::size_t begin,
 void write_phases(JsonWriter& w, const obs::Registry& reg, int ranks,
                   int ps) {
   static constexpr const char* kPhases[] = {
-      "pfasst.predictor", "pfasst.iteration",   "pfasst.sweep.fine",
-      "pfasst.sweep.coarse", "pfasst.fas",      "vortex.rhs.evaluate",
-      "vortex.rhs.fine",  "vortex.rhs.coarse",
-      "tree.traversal",   "tree.let_exchange",  "tree.branch_exchange",
-      "tree.build",       "tree.domain",        "mpsim.send",
-      "mpsim.recv",       "mpsim.barrier"};
+      "pfasst.predictor",    "pfasst.iteration",    "pfasst.sweep.fine",
+      "pfasst.sweep.coarse", "vortex.rhs.evaluate", "vortex.rhs.fine",
+      "vortex.rhs.coarse",   "tree.traversal",      "tree.let_exchange",
+      "tree.branch_exchange", "tree.build",         "tree.domain",
+      "mpsim.send",          "mpsim.recv",          "mpsim.barrier"};
   w.key("phases").begin_object();
   for (const char* phase : kPhases) {
     const auto total = reg.span_total(phase);

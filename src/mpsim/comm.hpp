@@ -9,6 +9,7 @@
 // Comm::clock().now().
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <deque>
@@ -184,24 +185,33 @@ class Comm {
   /// a trivially copyable arithmetic type.
   template <typename T>
   T allreduce(T value, ReduceOp op) {
+    return allreduce(std::array<T, 1>{value}, op)[0];
+  }
+
+  /// Element-wise reduction of a fixed-size array in one collective,
+  /// folded in rank order like the scalar overload.
+  template <typename T, std::size_t N>
+  std::array<T, N> allreduce(const std::array<T, N>& values, ReduceOp op) {
     static_assert(std::is_arithmetic_v<T>);
-    std::vector<std::byte> in(sizeof(T));
-    std::memcpy(in.data(), &value, sizeof(T));
+    std::vector<std::byte> in(N * sizeof(T));
+    std::memcpy(in.data(), values.data(), in.size());
     const auto out = allreduce_bytes(
         std::move(in), sizeof(T), static_cast<int>(op),
         [op](std::byte* acc_bytes, const std::byte* in_bytes) {
-          T acc, v;
-          std::memcpy(&acc, acc_bytes, sizeof(T));
-          std::memcpy(&v, in_bytes, sizeof(T));
-          switch (op) {
-            case ReduceOp::kSum: acc = acc + v; break;
-            case ReduceOp::kMax: acc = acc < v ? v : acc; break;
-            case ReduceOp::kMin: acc = v < acc ? v : acc; break;
+          for (std::size_t i = 0; i < N; ++i) {
+            T acc, v;
+            std::memcpy(&acc, acc_bytes + i * sizeof(T), sizeof(T));
+            std::memcpy(&v, in_bytes + i * sizeof(T), sizeof(T));
+            switch (op) {
+              case ReduceOp::kSum: acc = acc + v; break;
+              case ReduceOp::kMax: acc = acc < v ? v : acc; break;
+              case ReduceOp::kMin: acc = v < acc ? v : acc; break;
+            }
+            std::memcpy(acc_bytes + i * sizeof(T), &acc, sizeof(T));
           }
-          std::memcpy(acc_bytes, &acc, sizeof(T));
         });
-    T result;
-    std::memcpy(&result, out.data(), sizeof(T));
+    std::array<T, N> result;
+    std::memcpy(result.data(), out.data(), N * sizeof(T));
     return result;
   }
 

@@ -26,13 +26,26 @@ void SdcSweeper::set_initial(const State& u0) {
   stale_[0] = true;
 }
 
-void SdcSweeper::set_values(const std::vector<State>& values) {
+void SdcSweeper::check_node_values(const std::vector<State>& values) const {
   if (values.size() != u_.size())
-    throw std::invalid_argument("set_values needs one value per node");
+    throw std::invalid_argument("need one value per node");
   for (const State& v : values)
     if (v.size() != dof_) throw std::invalid_argument("bad node value size");
+}
+
+void SdcSweeper::set_values(const std::vector<State>& values) {
+  check_node_values(values);
   u_ = values;
   stale_.assign(u_.size(), true);
+}
+
+void SdcSweeper::set_values_with_f(const std::vector<State>& values,
+                                   const std::vector<State>& f_values) {
+  check_node_values(values);
+  check_node_values(f_values);
+  u_ = values;
+  f_ = f_values;
+  stale_.assign(u_.size(), false);
 }
 
 void SdcSweeper::spread(double t0, const RhsFn& rhs) {
@@ -88,6 +101,11 @@ void SdcSweeper::require_fresh() const {
     if (stale)
       throw std::logic_error(
           "SdcSweeper: F read at a stale node (refresh or sweep first)");
+}
+
+const std::vector<State>& SdcSweeper::f_values() const {
+  require_fresh();
+  return f_;
 }
 
 void SdcSweeper::set_tau(std::vector<State> tau) {

@@ -8,11 +8,18 @@
 // The sweeper owns node values U and function values F for one step and is
 // reused by the serial SDC driver, parareal's fine/coarse propagators, and
 // the PFASST levels (which add FAS corrections via `set_tau`). It keeps one
-// freshness bit per node: writing U marks F stale, and F is evaluated only
-// when a sweep or an integral reads it, so no caller computes an F that
-// nobody reads. A sweep leaves its last node stale too, so a caller can
-// send end_value() before paying for that F. Reading stale F throws
-// instead of using old values.
+// freshness bit per node. A node is fresh when its F is the value the
+// sweep should use there: f(t_m, U_m), or an F transferred together with U
+// (`set_values_with_f`, or `spread`'s copy of F_0). Writing U alone marks F
+// stale, and F is evaluated only when a sweep or an integral reads it, so
+// no caller computes an F that nobody reads. A sweep re-evaluates every
+// interior node and leaves its last node stale, so a caller can send
+// end_value() before paying for that F. Reading stale F throws instead of
+// using old values. `residual` and the FAS integrals read whatever F is
+// stored; the PFASST controller only calls them after every transferred F
+// has been replaced by an evaluation: the sweep re-evaluates the interior,
+// node 0 is re-evaluated after `set_initial` (or carries a zero correction
+// on the first time slice), and node M is refreshed before both readers.
 #pragma once
 
 #include <functional>
@@ -46,6 +53,12 @@ class SdcSweeper {
   /// and marks every F stale.
   void set_values(const std::vector<State>& values);
 
+  /// Replaces all M+1 node values and function values together (a PFASST
+  /// interpolation that carries the coarse F correction along with U) and
+  /// leaves every node fresh.
+  void set_values_with_f(const std::vector<State>& values,
+                         const std::vector<State>& f_values);
+
   /// Spreads U_0 to all nodes and copies F_0 = f(t0, U_0) to every node:
   /// the cheapest provisional solution (iteration 0). Leaves every node
   /// fresh. Counts 1 RHS evaluation.
@@ -75,6 +88,10 @@ class SdcSweeper {
 
   const State& end_value() const { return u_.back(); }
 
+  /// Function values F_m (m in [0, M]). Throws std::logic_error if any F is
+  /// stale.
+  const std::vector<State>& f_values() const;
+
   /// Collocation residual r_m = U_0 + dt * (Q F)_m - U_m for m = 1..M;
   /// returns max_m ||r_m||_inf. This is the convergence monitor used in
   /// Sec. IV-B (difference of successive iterates is reported separately
@@ -98,10 +115,11 @@ class SdcSweeper {
   std::vector<State> u_;    // M+1 node values
   std::vector<State> f_;    // M+1 function values
   std::vector<State> tau_;  // M node-to-node FAS corrections (or empty)
-  std::vector<bool> stale_;  // M+1 flags: F_m is not f(t_m, U_m)
+  std::vector<bool> stale_;  // M+1 flags: F_m is not for the sweep to use
   long rhs_evals_ = 0;
 
   void require_fresh() const;
+  void check_node_values(const std::vector<State>& values) const;
 };
 
 /// Serial SDC time integrator: `sweeps` corrections per step over nsteps

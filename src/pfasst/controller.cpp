@@ -1,6 +1,7 @@
 #include "pfasst/controller.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace stnb::pfasst {
 
@@ -142,7 +143,8 @@ void Pfasst::predictor(double t_slice, double dt) {
   // condition. Total pipeline latency equals one sweep per rank, but the
   // extra sweeps sharpen the provisional solution (Sec. III-B3). Each
   // sweep leaves its last node stale, so every stage's send goes out with
-  // no RHS call in front of it; the next stage's sweep evaluates that node.
+  // no RHS call in front of it; the next stage's sweep, or the final
+  // interpolation, evaluates that node.
   sweeper.spread(t_slice, coarse.config.rhs);
   for (int j = 0; j <= rank; ++j) {
     if (j > 0) {
@@ -159,19 +161,30 @@ void Pfasst::predictor(double t_slice, double dt) {
     }
   }
 
-  interpolate_to_fine();
+  interpolate_to_fine(t_slice, dt);
 }
 
-void Pfasst::interpolate_to_fine() {
-  // Interpolate the provisional coarse solution up the hierarchy. F stays
-  // stale until the level's next sweep reads it.
+void Pfasst::interpolate_to_fine(double t_slice, double dt) {
+  // Interpolate the provisional coarse solution, U and F, up the hierarchy
+  // (from zero), so the next fine sweep evaluates only the nodes it
+  // re-evaluates anyway.
+  auto& coarsest = levels_.back();
+  coarsest.sweeper->refresh(t_slice, dt, coarsest.config.rhs);
   for (int l = static_cast<int>(levels_.size()) - 2; l >= 0; --l) {
+    const auto& coarse = *levels_[l + 1].sweeper;
     auto& fine = *levels_[l].sweeper;
-    std::vector<ode::State> fine_u(fine.num_nodes(), ode::State(dof_, 0.0));
-    transfer_[l].interpolate_correction(levels_[l + 1].sweeper->values(),
-                                        fine_u);  // from zero
-    fine.set_values(fine_u);
+    const ode::State zero(dof_, 0.0);
+    std::vector<ode::State> fine_u(fine.num_nodes(), zero);
+    std::vector<ode::State> fine_f(fine.num_nodes(), zero);
+    transfer_[l].interpolate_correction(coarse.values(), fine_u);
+    transfer_[l].interpolate_correction(coarse.f_values(), fine_f);
+    fine.set_values_with_f(fine_u, fine_f);
   }
+  // The next fine sweep re-evaluates every node but 0 and M, and refreshes
+  // M before the residual reads it. Node 0 is left stale so that no F of a
+  // coarser level's right-hand side reaches the fine residual.
+  auto& finest = *levels_.front().sweeper;
+  finest.set_initial(finest.u(0));
 }
 
 std::optional<ode::State> Pfasst::recv_initial(int source, int tag) {
@@ -229,7 +242,7 @@ void Pfasst::rebuild_slice(double t_slice, double dt) {
       obs::Span sweep_span = scope.span("pfasst.sweep.coarse");
       coarse.sweeper->sweep(t_slice, dt, coarse.config.rhs);
     }
-    interpolate_to_fine();
+    interpolate_to_fine(t_slice, dt);
   } else {
     for (int s = 0; s < config_.recovery_sweeps; ++s) {
       obs::Span sweep_span = scope.span("pfasst.sweep.fine");
@@ -244,7 +257,7 @@ void Pfasst::compute_fas(int lc, double t_slice, double dt) {
   auto& fine = *levels_[lc - 1].sweeper;
   auto& coarse = *levels_[lc].sweeper;
   coarse.refresh(t_slice, dt, levels_[lc].config.rhs);
-  obs::Span span = comm_.obs_scope().span("pfasst.fas");
+  levels_[lc].f_pre = coarse.f_values();
   const auto fine_integrals = fine.integrate_node_to_node(dt, true);
   const auto coarse_integrals = coarse.integrate_node_to_node(dt, false);
   std::vector<ode::State> tau(coarse.num_nodes() - 1, ode::State(dof_, 0.0));
@@ -321,40 +334,62 @@ double Pfasst::iteration(int k, double t_slice, double dt) {
   for (int l = num_levels - 2; l >= 0; --l) {
     auto& level = levels_[l];
     auto& coarse = levels_[l + 1];
+    auto& sweeper = *level.sweeper;
 
     // delta = U_coarse(after sweeps) - U_coarse(at restriction)
     std::vector<ode::State> delta = coarse.sweeper->values();
     for (std::size_t m = 0; m < delta.size(); ++m)
       ode::axpy(-1.0, coarse.u_pre[m], delta[m]);
-    std::vector<ode::State> fine_u = level.sweeper->values();
+    std::vector<ode::State> fine_u = sweeper.values();
     transfer_[l].interpolate_correction(delta, fine_u);
-    level.sweeper->set_values(fine_u);
+
+    // The F correction F_coarse - f_pre rides along, so the next sweep on
+    // this level evaluates only node 0 (after a new initial value), the
+    // interior nodes and node M. Nothing reads the finest F after the last
+    // iteration of a block, so its correction is not carried there; a
+    // recovery iteration that follows finds that F stale and evaluates it.
+    if (l > 0 || k + 1 < config_.iterations) {
+      coarse.sweeper->refresh(t_slice, dt, coarse.config.rhs);
+      const auto& coarse_f = coarse.sweeper->f_values();
+      for (std::size_t m = 0; m < delta.size(); ++m) {
+        delta[m] = coarse_f[m];
+        ode::axpy(-1.0, coarse.f_pre[m], delta[m]);
+      }
+      std::vector<ode::State> fine_f = sweeper.f_values();
+      transfer_[l].interpolate_correction(delta, fine_f);
+      sweeper.set_values_with_f(fine_u, fine_f);
+    } else {
+      sweeper.set_values(fine_u);
+    }
 
     // Receive the new initial value from the previous rank (sent during
     // its down-cycle at this level) and add the coarse node-0 correction.
     // The correction base must be the *received* value, not this rank's
     // old initial (libpfasst's interp_q0): delta0 = u_c(0) - R(u_recv).
     // Using the old initial as base gives a non-contracting (-1
-    // eigenvalue) update at the slice boundary.
+    // eigenvalue) update at the slice boundary. Node 0's F is re-evaluated
+    // even when the message was lost, so the residual never reads a
+    // transferred F there; on rank 0 the coarse node-0 correction is zero.
     if (rank > 0) {
+      ode::State u0 = sweeper.u(0);
       if (auto u_in = recv_initial(rank - 1, tag(l))) {
         ode::State delta0 = coarse.sweeper->u(0);
         ode::axpy(-1.0, *u_in, delta0);  // identity spatial restriction
         ode::axpy(1.0, delta0, *u_in);
-        level.sweeper->set_initial(*u_in);
+        u0 = std::move(*u_in);
         // The corrected fine initial is the best restart value for a
         // later soft-fail of this slice.
-        if (l == 0) u_restart_ = *u_in;
+        if (l == 0) u_restart_ = u0;
       }
+      sweeper.set_initial(u0);
     }
 
     // Interior levels sweep on the way up (Algorithm 1); the finest level
-    // sweeps at the start of the next iteration, which evaluates its F.
-    // After the last iteration of a block nothing reads the fine F, so it
-    // is never evaluated. Forward sends happen in the down-cycle only.
+    // sweeps at the start of the next iteration, which evaluates its stale
+    // F. Forward sends happen in the down-cycle only.
     if (l > 0) {
       obs::Span sweep_span = scope.span(sweep_name(l));
-      level.sweeper->sweep(t_slice, dt, level.config.rhs);
+      sweeper.sweep(t_slice, dt, level.config.rhs);
     }
   }
   return fine_residual;

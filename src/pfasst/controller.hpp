@@ -100,23 +100,26 @@ class Pfasst {
   struct LevelState {
     Level config;
     std::unique_ptr<ode::SdcSweeper> sweeper;
-    std::vector<ode::State> u_pre;  // snapshot at restriction (for FAS
-                                    // coarse correction)
+    // Snapshots at restriction, after the FAS refresh: the coarse
+    // corrections interpolated up are U - u_pre and F - f_pre.
+    std::vector<ode::State> u_pre;
+    std::vector<ode::State> f_pre;
   };
 
   void predictor(double t_slice, double dt);
   /// One Algorithm-1 V-cycle; returns the fine residual (IterationStats).
   double iteration(int k, double t_slice, double dt);
-  /// Evaluates the coarse level's stale F, then sets its FAS correction.
+  /// Evaluates the coarse level's stale F, snapshots it as f_pre, then
+  /// sets its FAS correction.
   void compute_fas(int coarse_level, double t_slice, double dt);
 
   // -- fault recovery ------------------------------------------------------
   /// Restriction of the fine provisional solution down the hierarchy (also
   /// the non-predictor initialization path).
   void mirror_to_coarse();
-  /// Interpolation of the provisional coarsest solution up the hierarchy
-  /// (also the predictor's final stage).
-  void interpolate_to_fine();
+  /// Interpolation of the provisional coarsest solution, U and F, up the
+  /// hierarchy (also the predictor's final stage).
+  void interpolate_to_fine(double t_slice, double dt);
   /// Receive a forward-send, falling back to nullopt (recovery mode) when
   /// the message was lost to a fault.
   std::optional<ode::State> recv_initial(int source, int tag);

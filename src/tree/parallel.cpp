@@ -1,6 +1,7 @@
 #include "tree/parallel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -151,11 +152,12 @@ ParallelTree::Exchanged ParallelTree::exchange(
     lo = min(lo, p.x);
     hi = max(hi, p.x);
   }
-  Vec3 glo, ghi;
-  for (int c = 0; c < 3; ++c) {
-    glo[c] = comm_.allreduce(lo[c], mpsim::ReduceOp::kMin);
-    ghi[c] = comm_.allreduce(hi[c], mpsim::ReduceOp::kMax);
-  }
+  // One max-reduction: the mins ride along negated (negation is exact).
+  const auto box = comm_.allreduce(
+      std::array<double, 6>{-lo.x, -lo.y, -lo.z, hi.x, hi.y, hi.z},
+      mpsim::ReduceOp::kMax);
+  const Vec3 glo{-box[0], -box[1], -box[2]};
+  const Vec3 ghi{box[3], box[4], box[5]};
   const Vec3 mid = 0.5 * (glo + ghi);
   double size = std::max(
       {ghi.x - glo.x, ghi.y - glo.y, ghi.z - glo.z, 1e-12});

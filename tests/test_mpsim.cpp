@@ -3,6 +3,7 @@
 // virtual-clock model (causality, synchronization, determinism).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 
 #include "mpsim/comm.hpp"
@@ -84,6 +85,23 @@ TEST_P(MpsimCollectives, TypedAllreduceWorksForIntegerAndSizeTypes) {
               (std::size_t{1} << 40) + static_cast<std::size_t>(n - 1));
     EXPECT_DOUBLE_EQ(comm.allreduce(0.5 * r, ReduceOp::kSum),
                      0.5 * n * (n + 1) / 2.0);
+  });
+}
+
+TEST_P(MpsimCollectives, ArrayAllreduceIsElementwiseScalarAllreduce) {
+  // One collective over an array folds each element in rank order, so it
+  // is bit-identical to one scalar allreduce per element, rounding
+  // included (the sum of 0.1 (r + 1) / 3 depends on the order).
+  const int n = GetParam();
+  Runtime rt;
+  rt.run(n, [&](Comm& comm) {
+    const double r = comm.rank() + 1;
+    const std::array<double, 3> mine{0.1 * r / 3.0, -r, 1e300 / r};
+    for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kMax, ReduceOp::kMin}) {
+      const auto all = comm.allreduce(mine, op);
+      for (std::size_t i = 0; i < mine.size(); ++i)
+        EXPECT_EQ(all[i], comm.allreduce(mine[i], op)) << "element " << i;
+    }
   });
 }
 

@@ -182,16 +182,22 @@ long calls_on(const std::vector<int>& log, int level) {
 
 TEST(Pfasst, RhsEvaluationCountsAreExact) {
   // F is evaluated only where a sweep, the residual or the FAS assembly
-  // reads it; a sweep leaves its last node stale. Per rank r, block and
-  // iteration (M = intervals, n = sweeps, fault-free):
-  //   fine:   2M_F + 1 (the stale nodes left by the interpolated coarse
-  //           correction, M_F - 1 in the sweep, then its last node after
-  //           the forward-send), never after the last iteration of a
-  //           block;
-  //   coarse: M_C + 1 after restriction, 1 for a received initial value
-  //           (r > 0), n_C M_C - 1 in the sweeps (the last sweep's last
-  //           node is never read); the predictor adds
-  //           1 + (r + 1) M_C + r - 1.
+  // reads it, and the up-cycle interpolates the coarse F correction along
+  // with U. A sweep re-evaluates the interior nodes and leaves its last
+  // node stale. Per rank r and block (M = intervals, n = sweeps, K
+  // iterations, fault-free, 2 levels):
+  //   fine:   (M_F + 1) + (K - 1)(M_F + [r > 0]), i.e. K(M_F + 1) for
+  //           r > 0 and (M_F + 1) + (K - 1)M_F for r = 0. Each iteration
+  //           evaluates node 0 (stale after the predictor, and after every
+  //           received initial value; rank 0 carries a zero correction
+  //           there), the M_F - 1 interior nodes in the sweep, and node M
+  //           after the forward-send. Nothing is evaluated after the last
+  //           iteration of a block.
+  //   coarse: the predictor's 1 + (r + 1)M_C + r - 1, plus 1 for the last
+  //           node before its interpolation; per iteration M_C + 1 after
+  //           restriction, 1 for a received initial value (r > 0),
+  //           n_C M_C - 1 in the sweeps, plus 1 for the last node before
+  //           the F correction is interpolated (not in the last iteration).
   const int pt = 4, blocks = 2, k_iter = 3;
   const int mf = 2, mc = 1, nc = 2;  // Lobatto 3 / Lobatto 2, 2 sweeps
   mpsim::Runtime rt;
@@ -203,16 +209,24 @@ TEST(Pfasst, RhsEvaluationCountsAreExact) {
     Pfasst pfasst(comm, levels, {k_iter, true});
     const auto result = pfasst.run({1.0}, 0.0, 0.2, blocks * pt);
     const long per_iteration_coarse = (mc + 1) + (r > 0) + nc * mc - 1;
-    EXPECT_EQ(calls_on(log, 0), blocks * k_iter * (2 * mf + 1));
+    EXPECT_EQ(calls_on(log, 0),
+              blocks * ((mf + 1) + (k_iter - 1) * (mf + (r > 0))));
     EXPECT_EQ(calls_on(log, 1),
-              blocks * (1 + (r + 1) * mc + r - 1 +
-                        k_iter * per_iteration_coarse));
+              blocks * (1 + (r + 1) * mc + r - 1 + 1 +
+                        k_iter * per_iteration_coarse + (k_iter - 1)));
     EXPECT_EQ(result.rhs_evaluations, static_cast<long>(log.size()));
   });
 
-  // Three levels (5-3-2): the predictor's interpolation leaves the middle
-  // level stale, so its first call is the refresh after the first
-  // restriction, which follows the first fine sweep.
+  // Three levels (5-3-2, M = 4/2/1, the coarsest with 2 sweeps): the
+  // predictor interpolates U and F onto the middle level, and the next
+  // restriction overwrites both, so the middle level's first call is the
+  // refresh after the first restriction, which follows the first fine
+  // sweep. Per iteration the middle level makes M + 1 calls at
+  // restriction, M in its down sweep and node M, 1 + [r > 0] in its up
+  // sweep, and 1 for node M before its F correction goes up to the fine
+  // level (not in the last iteration). Its own correction from the
+  // coarsest level is always carried, so the coarsest level's node M is
+  // refreshed every iteration.
   rt.run(pt, [&](mpsim::Comm& comm) {
     const int r = comm.rank();
     std::vector<int> log;
@@ -228,15 +242,15 @@ TEST(Pfasst, RhsEvaluationCountsAreExact) {
       return std::find(log.begin(), log.end(), level) - log.begin();
     };
     EXPECT_LT(first(0), first(1));
-    // Middle: refresh 3, down sweep 1 + its last node for the FAS, up
-    // sweep 3 stale + 1 (its last node is never read).
-    EXPECT_EQ(calls_on(log, 0), k_iter * (2 * 4 + 1));
-    EXPECT_EQ(calls_on(log, 1), k_iter * 9);
-    EXPECT_EQ(calls_on(log, 2), 1 + 2 * r + k_iter * (2 + (r > 0) + 1));
+    EXPECT_EQ(calls_on(log, 0), 5 + (k_iter - 1) * (4 + (r > 0)));
+    EXPECT_EQ(calls_on(log, 1), k_iter * (3 + 3 + (r > 0)) + (k_iter - 1));
+    EXPECT_EQ(calls_on(log, 2),
+              1 + 2 * r + 1 + k_iter * (2 + (r > 0) + 1 + 1));
   });
 
-  // No predictor: the fine spread is fresh, and mirror_to_coarse leaves
-  // the coarse F stale for the iteration-0 restriction to overwrite.
+  // No predictor: the fine spread is fresh (1 call instead of node 0's),
+  // and mirror_to_coarse leaves the coarse F stale for the iteration-0
+  // restriction to overwrite.
   rt.run(pt, [&](mpsim::Comm& comm) {
     const int r = comm.rank();
     std::vector<int> log;
@@ -244,9 +258,9 @@ TEST(Pfasst, RhsEvaluationCountsAreExact) {
     for (int l = 0; l < 2; ++l) levels[l].rhs = logged(levels[l].rhs, log, l);
     Pfasst pfasst(comm, levels, {k_iter, false});
     pfasst.run({1.0}, 0.0, 0.2, pt);
-    EXPECT_EQ(calls_on(log, 0), 1 + mf + (k_iter - 1) * (2 * mf + 1));
+    EXPECT_EQ(calls_on(log, 0), (mf + 1) + (k_iter - 1) * (mf + (r > 0)));
     EXPECT_EQ(calls_on(log, 1),
-              k_iter * ((mc + 1) + (r > 0) + nc * mc - 1));
+              k_iter * ((mc + 1) + (r > 0) + nc * mc - 1) + (k_iter - 1));
   });
 }
 

@@ -212,6 +212,47 @@ TEST(Sdc, StaleNodesAreEvaluatedExactlyOnce) {
   EXPECT_THROW(sw.set_values({State{1.0}}), std::invalid_argument);
 }
 
+TEST(Sdc, SettingValuesWithFLeavesEveryNodeFresh) {
+  // U and F replaced together are fresh: F reads back as set, and nothing
+  // is evaluated until set_initial re-stales node 0. A sweep then
+  // evaluates node 0 and the interior nodes only, and uses the stored F
+  // at nodes 1..M as iterate k's.
+  std::vector<double> times;
+  const RhsFn rhs = [&](double t, const State& u, State& f) {
+    times.push_back(t);
+    riccati_rhs(t, u, f);
+  };
+  SdcSweeper sw(collocation_nodes(NodeType::kGaussLobatto, 3), 1);
+  const std::vector<State> u = {State{1.0}, State{0.8}, State{0.7}};
+  const std::vector<State> f = {State{-1.0}, State{-0.6}, State{-0.5}};
+  sw.set_values_with_f(u, f);
+  EXPECT_EQ(sw.values(), u);
+  EXPECT_EQ(sw.f_values(), f);
+  sw.refresh(2.0, 1.0, rhs);
+  EXPECT_TRUE(times.empty());
+  EXPECT_NO_THROW(sw.residual(1.0));
+
+  sw.set_initial({0.9});
+  EXPECT_THROW(sw.f_values(), std::logic_error);
+  EXPECT_THROW(sw.residual(1.0), std::logic_error);
+  sw.sweep(2.0, 1.0, rhs);
+  EXPECT_EQ(times, (std::vector<double>{2.0, 2.5}));
+  EXPECT_EQ(sw.rhs_evaluations(), 2);
+
+  // The sweep read the stored F: the same sweep from U with every F
+  // evaluated instead ends elsewhere.
+  SdcSweeper evaluated(collocation_nodes(NodeType::kGaussLobatto, 3), 1);
+  evaluated.set_values(u);
+  evaluated.set_initial({0.9});
+  evaluated.sweep(2.0, 1.0, riccati_rhs);
+  EXPECT_EQ(evaluated.rhs_evaluations(), 4);
+  EXPECT_NE(evaluated.end_value(), sw.end_value());
+
+  EXPECT_THROW(sw.set_values_with_f(u, {State{1.0}}), std::invalid_argument);
+  EXPECT_THROW(sw.set_values_with_f(u, {State{1.0}, State{}, State{1.0}}),
+               std::invalid_argument);
+}
+
 TEST(Sdc, ReadingStaleFThrows) {
   SdcSweeper sw(collocation_nodes(NodeType::kGaussLobatto, 3), 1);
   EXPECT_THROW(sw.residual(0.1), std::logic_error);  // F never evaluated

@@ -1,12 +1,13 @@
 // PFASST time-transfer operators: nesting requirements, injection
 // restriction, integral restriction telescoping, and polynomial
 // exactness of correction interpolation — the identities the FAS
-// correction (paper Eqs. 16-17) relies on.
+// correction (paper Eqs. 16-17) and the carried F correction rely on.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "ode/nodes.hpp"
+#include "ode/sdc.hpp"
 #include "pfasst/transfer.hpp"
 
 namespace stnb::pfasst {
@@ -92,6 +93,53 @@ TEST(TimeTransfer, RoundTripRestrictionOfInterpolationIsIdentity) {
   tt.restrict_values(fine, coarse_out);
   for (int m = 0; m < 3; ++m)
     EXPECT_NEAR(coarse_out[m][0], coarse_in[m][0], 1e-13);
+}
+
+TEST(TimeTransfer, CarriedFCorrectionOfALinearRhsIsTheRhsOfCarriedU) {
+  // The PFASST up-cycle adds P(U_C - u_pre) to the fine U and
+  // P(F_C - f_pre) to the fine F instead of re-evaluating it. With one
+  // linear f = lambda u on both levels, F_C - f_pre = lambda (U_C - u_pre),
+  // so the carried F is exactly f(U) at every fine node (up to rounding).
+  const double lambda = -0.75;
+  const ode::RhsFn linear = [&](double, const State& u, State& f) {
+    for (std::size_t i = 0; i < u.size(); ++i) f[i] = lambda * u[i];
+  };
+  const double t0 = 0.5, dt = 0.25;
+  const TimeTransfer tt(lobatto(5), lobatto(3));
+  ode::SdcSweeper fine(lobatto(5), 2);
+  ode::SdcSweeper coarse(lobatto(3), 2);
+  fine.set_values({{1.0, -2.0}, {0.9, -1.7}, {0.8, -1.9}, {0.85, -1.6},
+                   {0.7, -1.5}});
+  fine.refresh(t0, dt, linear);
+
+  std::vector<State> u_pre(3, State(2));
+  tt.restrict_values(fine.values(), u_pre);
+  coarse.set_values(u_pre);
+  coarse.refresh(t0, dt, linear);
+  const std::vector<State> f_pre = coarse.f_values();
+  coarse.set_initial({1.1, -2.2});  // a received initial value
+  coarse.sweep(t0, dt, linear);
+  coarse.sweep(t0, dt, linear);
+  coarse.refresh(t0, dt, linear);
+
+  std::vector<State> du = coarse.values(), df = coarse.f_values();
+  for (int m = 0; m < 3; ++m) {
+    ode::axpy(-1.0, u_pre[m], du[m]);
+    ode::axpy(-1.0, f_pre[m], df[m]);
+  }
+  std::vector<State> fine_u = fine.values(), fine_f = fine.f_values();
+  tt.interpolate_correction(du, fine_u);
+  tt.interpolate_correction(df, fine_f);
+  fine.set_values_with_f(fine_u, fine_f);
+
+  for (int m = 0; m < 5; ++m) {
+    for (int i = 0; i < 2; ++i) {
+      const double expect = lambda * fine.u(m)[i];
+      EXPECT_LE(std::abs(fine.f_values()[m][i] - expect),
+                1e-13 * std::abs(expect))
+          << "node " << m << " component " << i;
+    }
+  }
 }
 
 class TransferPairs
